@@ -248,7 +248,6 @@ def cmd_lp(args) -> int:
         add_per_round=args.add_per_round,
         checkpoint_dir=args.checkpoint_dir,
         progress=True if args.progress or args.m >= 12 else None,
-        workers=_workers(args),
     )
     payload = lpmod.solution_to_json_obj(problem, sol)
     if args.dual_witness and sol.status == "optimal":

@@ -23,9 +23,11 @@ and maps the grid to itself.
 
 The solver is a constraint-generation loop: solve the restricted LP with the
 bounded revised simplex, scan *all* cube characters via an FFT of the weight
-array, add the most-violated deduplicated characters, repeat.  Convergence
-requires a clean full scan, so the returned primal is feasible for the whole
-cube, never just for the generated rows.  Weights carry the a-priori box
+array, add the most-violated deduplicated characters, repeat.  Candidates
+are canonicalised and deduplicated as arrays (``canonical_char_codes``);
+only the characters actually tried become tuples.  Convergence requires a
+clean full scan, so the returned primal is feasible for the whole cube,
+never just for the generated rows.  Weights carry the a-priori box
 w <= 2: any fully feasible f has f(y) <= f(0) = 1 pointwise (nonnegative
 transform), so the box is slack at convergence and never enters the dual.
 
@@ -35,7 +37,10 @@ master is row-rich: a few dozen weight variables against hundreds of
 generated rows.  The dual basis has one row per weight, which avoids the
 heavy stalling a row-sized basis suffers on these degenerate instances; the
 weights come back as the simplex duals and are validated against the full
-scan.
+scan.  Generated rows enter the dual as new lambda columns at zero, so each
+round warm-starts from the previous round's optimal basis; only the first
+solve of a run (fresh or resumed from a checkpoint) starts from the identity
+mu-basis.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .torus import (
 from .witness import TrigPolynomial, delsarte_bound
 
 _WEIGHT_BOX = 2.0
+_CHUNK = 1 << 14    # characters canonicalised per vectorised step (bounds memory)
 
 
 class CertificateError(RuntimeError):
@@ -115,6 +121,30 @@ def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
 
 def canonical_char(gamma: tuple[int, ...], m: int, use_shift: bool = False):
     return min(_char_images(gamma, m, use_shift))
+
+
+def canonical_char_codes(
+    digits: np.ndarray, m: int, use_shift: bool = False
+) -> np.ndarray:
+    """``canonical_char`` of every row of ``digits``, as base-m codes.
+
+    A sorted image is coded as its big-endian base-m number, which orders
+    like the tuple, so the least code over the images is the code of the
+    canonical character; ``_decode_digits`` turns it back into the tuple.
+    """
+    n = digits.shape[1]
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    images = [digits]
+    if use_shift:
+        # the images _char_images builds from the zero-sum extension
+        full = np.hstack([(-digits.sum(axis=1, keepdims=True)) % m, digits])
+        images += [np.delete(full, t, axis=1) for t in range(1, n + 1)]
+    codes = [
+        np.sort(img, axis=1) @ place
+        for base in images
+        for img in (base, (-base) % m)
+    ]
+    return np.min(codes, axis=0)
 
 
 def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
@@ -268,22 +298,28 @@ class LpProblem:
             self.member_orbit, weights=cos_table[dots], minlength=self.n_orbits
         )
 
+    def char_codes(self, indices: np.ndarray) -> np.ndarray:
+        """Linear cube index of the deduplicated character of each index.
+
+        With symmetry this is the code of ``canonical_char``; without, every
+        character is its own representative.
+        """
+        if not self.table.symmetric:
+            return indices
+        digits = _decode_digits(indices, self.m, self.d - 1)
+        return canonical_char_codes(digits, self.m, self.table.use_shift)
+
     def char_representatives(self) -> list:
         """Deduplicated characters of the cube (cached; excludes gamma = 0)."""
         if self._char_reps is None:
-            n = self.d - 1
-            seen = set()
-            total = self.m**n
-            for chunk_lo in range(0, total, 1 << 16):
-                idx = np.arange(chunk_lo, min(chunk_lo + (1 << 16), total))
-                digits = _decode_digits(idx, self.m, n)
-                for row in map(tuple, digits.tolist()):
-                    if not self.table.symmetric:
-                        seen.add(row)
-                        continue
-                    seen.add(canonical_char(row, self.m, self.table.use_shift))
-            seen.discard((0,) * n)
-            self._char_reps = sorted(seen)
+            total = self.m ** (self.d - 1)
+            codes = np.unique(np.concatenate([
+                np.unique(self.char_codes(np.arange(lo, min(lo + _CHUNK, total))))
+                for lo in range(0, total, _CHUNK)
+            ]))
+            # only gamma = 0 codes to 0: no image of a nonzero character is zero
+            digits = _decode_digits(codes[codes != 0], self.m, self.d - 1)
+            self._char_reps = list(map(tuple, digits.tolist()))
         return self._char_reps
 
     def weight_grid(self, weights: np.ndarray) -> np.ndarray:
@@ -320,6 +356,24 @@ def _transform_scan(problem: LpProblem, weights: np.ndarray) -> np.ndarray:
     return np.fft.fftn(w).real.ravel()
 
 
+def _first_keys(problem: LpProblem, order: np.ndarray):
+    """Yield (key code, index) for each deduplicated character of ``order``.
+
+    Keys come at their first occurrence in ``order``.  Candidates are coded
+    one chunk at a time, so a round that stops after a few keys never codes
+    the long tail of a large violated set.
+    """
+    seen: set = set()
+    for lo in range(0, order.size, _CHUNK):
+        chunk = order[lo : lo + _CHUNK]
+        codes = problem.char_codes(chunk)
+        for pos in np.sort(np.unique(codes, return_index=True)[1]).tolist():
+            code = int(codes[pos])
+            if code not in seen:
+                seen.add(code)
+                yield code, int(chunk[pos])
+
+
 def solve_lp(
     problem: LpProblem,
     eps_feas: float = DEFAULT_EPS_FEAS,
@@ -328,7 +382,6 @@ def solve_lp(
     max_simplex_iterations: int | None = None,
     checkpoint_dir: str | None = None,
     progress=None,
-    workers: int | None = None,
 ) -> LpSolution:
     """Constraint-generation solve; see the module docstring.
 
@@ -339,24 +392,28 @@ def solve_lp(
     if progress is True:
         progress = lambda msg: print(msg, file=sys.stderr, flush=True)
     d, m = problem.d, problem.m
+    n = d - 1
     n_orb = problem.n_orbits
     c = problem.objective
     reps: list = []
-    rows: list = []
+    A = np.zeros((0, n_orb))
 
     if checkpoint_dir:
         loaded = _load_checkpoint(checkpoint_dir, problem)
         if loaded:
             reps = loaded
-            rows = [problem.constraint_row(g) for g in reps]
+            A = np.array([problem.constraint_row(g) for g in reps])
             if progress:
                 progress(f"resumed from checkpoint with {len(reps)} constraints")
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rep_codes = {int(np.dot(g, place)) for g in reps}
 
     weights = np.full(n_orb, _WEIGHT_BOX)
     lam = np.zeros(0)
     mu = np.zeros(n_orb)
+    basis = None
+    solved_rows = 0
     total_iterations = 0
-    solved_rows = False
     rounds = 0
     while True:
         if rounds >= max_rounds:
@@ -364,18 +421,25 @@ def solve_lp(
                 f"no convergence after {max_rounds} constraint-generation rounds"
             )
         rounds += 1
-        if rows:
+        r = len(A)
+        if r:
             # dual form of  max c.w  s.t.  A w >= -1,  0 <= w <= BOX:
             #   max -sum(lam) - BOX*sum(mu)
             #   s.t. -A^T lam + mu - sigma = c,   lam, mu, sigma >= 0
-            # start from the identity mu-basis (mu = c > 0); w returns as -y.
-            A = np.array(rows)
-            r = len(rows)
+            # w returns as -y.  The first solve starts from the identity
+            # mu-basis (mu = c > 0).  Later rows enter as lam columns at zero,
+            # so the previous optimal basis stays feasible once its indices
+            # past the old lam block shift by the number of rows added.
             G = np.hstack([-A.T, np.eye(n_orb), -np.eye(n_orb)])
             cd = np.concatenate(
                 [-np.ones(r), -_WEIGHT_BOX * np.ones(n_orb), np.zeros(n_orb)]
             )
-            basis = np.arange(r, r + n_orb)
+            if basis is None:
+                basis = np.arange(r, r + n_orb)
+            else:
+                basis = np.where(
+                    basis >= solved_rows, basis + r - solved_rows, basis
+                )
             result = solve_equality_form(
                 G, c, cd, np.zeros(r + 2 * n_orb),
                 np.full(r + 2 * n_orb, np.inf), basis,
@@ -387,7 +451,7 @@ def solve_lp(
                     status="budget_exceeded", M=float("nan"),
                     weights=weights, dual={},
                     iterations=total_iterations, rounds=rounds,
-                    active_constraints=len(rows),
+                    active_constraints=r,
                     final_scan_min=float("nan"), duality_gap=float("nan"),
                 )
             if result.status != OPTIMAL:
@@ -396,9 +460,10 @@ def solve_lp(
                     status="unbounded", M=float("inf"),
                     weights=weights, dual={},
                     iterations=total_iterations, rounds=rounds,
-                    active_constraints=len(rows),
+                    active_constraints=r,
                     final_scan_min=float("nan"), duality_gap=float("nan"),
                 )
+            basis = result.basis
             lam = result.x[:r]
             mu = result.x[r : r + n_orb]
             weights = np.clip(-result.duals, 0.0, _WEIGHT_BOX)
@@ -408,48 +473,35 @@ def solve_lp(
                     f"recovered weights violate a generated row by "
                     f"{restricted_resid:.3e}"
                 )
-            solved_rows = True
+            solved_rows = r
 
         scan = _transform_scan(problem, weights)
-        worst = float(scan.min()) if scan.size else 0.0
+        worst = float(scan.min())
         if progress:
             progress(
-                f"round={rounds} rows={len(rows)} M={1.0 + float(c @ weights):.6f} "
+                f"round={rounds} rows={r} M={1.0 + float(c @ weights):.6f} "
                 f"min_fhat={worst:.3e}"
             )
         violated = np.flatnonzero(scan < -eps_feas)
         if violated.size == 0:
             break
-        order = np.lexsort((violated, scan[violated]))
-        existing = set(reps)
-        seen_this_round: set = set()
+        order = violated[np.lexsort((violated, scan[violated]))]
         added = 0
-        for lin in violated[order]:
-            gamma = tuple(
-                _decode_digits(np.array([lin]), m, d - 1)[0].tolist()
-            )
-            key = (
-                canonical_char(gamma, m, problem.table.use_shift)
-                if problem.table.symmetric
-                else gamma
-            )
-            if key in existing:
+        for code, lin in _first_keys(problem, order):
+            key = tuple(_decode_digits(np.array([code]), m, n)[0].tolist())
+            if code in rep_codes:
                 raise AssertionError(
                     f"generated constraint {key} violated after optimisation "
                     f"({scan[lin]:.3e}); row arithmetic is inconsistent"
                 )
-            if key in seen_this_round:
-                continue
-            seen_this_round.add(key)
             row = problem.constraint_row(key)
             # distinct characters can induce identical rows (grid automorphisms
             # permute the orbits); duplicated rows make bases singular
-            if rows and float(
-                np.min(np.max(np.abs(np.asarray(rows) - row), axis=1))
-            ) < 1e-10:
+            if len(A) and float(np.min(np.max(np.abs(A - row), axis=1))) < 1e-10:
                 continue
             reps.append(key)
-            rows.append(row)
+            rep_codes.add(code)
+            A = np.vstack([A, row])
             added += 1
             if added >= add_per_round:
                 break
@@ -487,7 +539,7 @@ def solve_lp(
         iterations=total_iterations,
         rounds=rounds,
         active_constraints=len(dual),
-        final_scan_min=float(_transform_scan(problem, weights).min()),
+        final_scan_min=worst,
         duality_gap=gap,
     )
 

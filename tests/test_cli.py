@@ -132,4 +132,6 @@ def test_outputs_deterministic_across_runs_and_workers(run_cli):
         assert out == baseline
     g1 = run_cli("grid", "--d", 4, "--m", 4, "--format", "json", "--workers", 1)
     g2 = run_cli("grid", "--d", 4, "--m", 4, "--format", "json", "--workers", 4)
+    assert g1[0] == 0, g1[2]
+    assert g2[0] == 0, g2[2]
     assert g1[1] == g2[1]

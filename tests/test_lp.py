@@ -10,6 +10,7 @@ from mublp.lp import (
     build_orbits,
     build_pseudo_mub_lp,
     canonical_char,
+    canonical_char_codes,
     canonical_point,
     char_orbit,
     export_lp,
@@ -19,7 +20,7 @@ from mublp.lp import (
     solution_to_json_obj,
     solve_lp,
 )
-from mublp.torus import PointClass, TorusPoint, difference
+from mublp.torus import PointClass, TorusPoint, _decode_digits, difference
 from mublp.witness import (
     TrigPolynomial,
     delsarte_bound,
@@ -110,6 +111,24 @@ def test_canonical_point_and_char_are_group_invariant():
                 assert canonical_char(img, m, use_shift) == cg
 
 
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_canonical_char_codes_match_canonical_char(d, m, use_shift):
+    digits = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
+    codes = canonical_char_codes(digits, m, use_shift)
+    decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
+    assert decoded == [canonical_char(g, m, use_shift) for g in map(tuple, digits.tolist())]
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_char_representatives_match_canonical_char_loop(d, m, use_shift):
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    cube = itertools.product(range(m), repeat=d - 1)
+    expected = {canonical_char(g, m, use_shift) for g in cube} - {(0,) * (d - 1)}
+    assert prob.char_representatives() == sorted(expected)
+
+
 def test_lp_d2m2_matches_one_variable_oracle():
     # single variable w on the point (1/2); characters {0, 1}; the gamma = 1
     # constraint reads 1 - w >= 0, so the brute-force optimum is M = 1 + 1
@@ -148,6 +167,19 @@ def test_lp_matches_scipy_oracle_on_small_grids():
         sol = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m)))
         assert sol.status == "optimal"
         assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7, (d, m)
+
+
+@pytest.mark.parametrize(
+    "d,m", [(d, m) for d in (2, 3, 4) for m in range(2, 7)]
+)
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_warm_started_lp_matches_scipy_oracle_sweep(d, m, use_shift):
+    # few rows per round, so most solves start from the previous round's basis
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    sol = solve_lp(prob, add_per_round=2)
+    assert sol.status == "optimal"
+    assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
+    assert sol.final_scan_min >= -1e-7
 
 
 def test_lp_d6m4_support_is_ort_only():
