@@ -518,11 +518,3 @@ def sidon_row_system(s: SidonSet) -> np.ndarray:
         raise ValueError(f"modulus {s.modulus} is not d^2 = {d * d}")
     f = fourier_matrix(s.modulus)
     return f[list(s.elements), :]
-
-
-def sidon_to_json_obj(s: SidonSet) -> dict:
-    return {"n": s.modulus, "elements": list(s.elements)}
-
-
-def sidon_from_json_obj(obj) -> SidonSet:
-    return SidonSet(int(obj["n"]), tuple(int(v) for v in obj["elements"]))

@@ -170,10 +170,6 @@ def cyclo_add(x: CycloInt, y: CycloInt) -> CycloInt:
     return CycloInt(x.order, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
 
 
-def cyclo_neg(x: CycloInt) -> CycloInt:
-    return CycloInt(x.order, tuple(-a for a in x.coeffs))
-
-
 def cyclo_mul(x: CycloInt, y: CycloInt) -> CycloInt:
     _require_same_order(x, y)
     phi_m = len(x.coeffs)

@@ -64,6 +64,7 @@ from .config import (
 from .serialize import load_json, write_json
 from .simplex import ITERATION_LIMIT, OPTIMAL, solve_equality_form
 from .torus import (
+    _CLASS_BY_CODE,
     CODE_ORT,
     CODE_UB,
     PointClass,
@@ -105,6 +106,37 @@ def canonical_point(vec: tuple[int, ...], m: int, use_shift: bool = False):
     return min(_point_images(vec, m, use_shift))
 
 
+def _least_image_code(images: list, m: int) -> np.ndarray:
+    """Least base-m code of the sorted rows of ``images`` and their negations.
+
+    A sorted image is coded as its big-endian base-m number, which orders
+    like the tuple, so the least code is the code of the least sorted image;
+    ``_decode_digits`` turns it back into the tuple.
+    """
+    place = m ** np.arange(images[0].shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = [
+        np.sort(img, axis=1) @ place
+        for base in images
+        for img in (base, (-base) % m)
+    ]
+    return np.min(codes, axis=0)
+
+
+def canonical_point_codes(
+    digits: np.ndarray, m: int, use_shift: bool = False
+) -> np.ndarray:
+    """``canonical_point`` of every row of ``digits``, as base-m codes."""
+    images = [digits]
+    if use_shift:
+        # the images _point_images builds by re-basing at coordinate t
+        full = np.hstack([np.zeros((len(digits), 1), dtype=digits.dtype), digits])
+        images += [
+            np.delete((full - full[:, t : t + 1]) % m, t, axis=1)
+            for t in range(1, digits.shape[1] + 1)
+        ]
+    return _least_image_code(images, m)
+
+
 def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
     neg = tuple((-g) % m for g in gamma)
     yield tuple(sorted(gamma))
@@ -126,25 +158,13 @@ def canonical_char(gamma: tuple[int, ...], m: int, use_shift: bool = False):
 def canonical_char_codes(
     digits: np.ndarray, m: int, use_shift: bool = False
 ) -> np.ndarray:
-    """``canonical_char`` of every row of ``digits``, as base-m codes.
-
-    A sorted image is coded as its big-endian base-m number, which orders
-    like the tuple, so the least code over the images is the code of the
-    canonical character; ``_decode_digits`` turns it back into the tuple.
-    """
-    n = digits.shape[1]
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    """``canonical_char`` of every row of ``digits``, as base-m codes."""
     images = [digits]
     if use_shift:
         # the images _char_images builds from the zero-sum extension
         full = np.hstack([(-digits.sum(axis=1, keepdims=True)) % m, digits])
-        images += [np.delete(full, t, axis=1) for t in range(1, n + 1)]
-    codes = [
-        np.sort(img, axis=1) @ place
-        for base in images
-        for img in (base, (-base) % m)
-    ]
-    return np.min(codes, axis=0)
+        images += [np.delete(full, t, axis=1) for t in range(1, digits.shape[1] + 1)]
+    return _least_image_code(images, m)
 
 
 def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
@@ -220,27 +240,29 @@ def build_orbits(
     singleton orbit (used for symmetrisation cross-checks).
     """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    classes = {CODE_ORT: PointClass.ORT, CODE_UB: PointClass.UB}
-    groups: dict = {}
-    for code, cls in classes.items():
-        idx = np.flatnonzero(codes == code)
-        if not idx.size:
-            continue
-        digits = _decode_digits(idx, m, d - 1)
-        for row in map(tuple, digits.tolist()):
-            key = canonical_point(row, m, use_shift_symmetry) if symmetric else row
-            entry = groups.get(key)
-            if entry is None:
-                groups[key] = (cls, [row])
-            else:
-                if entry[0] is not cls:
-                    raise AssertionError(
-                        f"orbit {key} mixes classes {entry[0]} and {cls}"
-                    )
-                entry[1].append(row)
+    points = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
+    point_codes = codes[points]
+    del codes                   # frees the cube before the member tuples are built
+    digits = _decode_digits(points, m, d - 1)
+    keys = canonical_point_codes(digits, m, use_shift_symmetry) if symmetric else points
+    reps, orbit_of = np.unique(keys, return_inverse=True)
+    orbit_codes = np.empty(reps.size, dtype=np.uint8)
+    orbit_codes[orbit_of] = point_codes         # the class of some member
+    reps = list(map(tuple, _decode_digits(reps, m, d - 1).tolist()))
+    mixed = np.flatnonzero(orbit_codes[orbit_of] != point_codes)
+    if mixed.size:
+        i, j = orbit_of[mixed[0]], mixed[0]
+        raise AssertionError(
+            f"orbit {reps[i]} mixes classes {_CLASS_BY_CODE[orbit_codes[i]]}"
+            f" and {_CLASS_BY_CODE[point_codes[j]]}"
+        )
+    # a stable sort keeps each orbit's members in ascending (lexicographic) order
+    members = list(zip(*digits[np.argsort(orbit_of, kind="stable")].T.tolist()))
+    bounds = np.cumsum([0, *np.bincount(orbit_of)]).tolist()
     orbits = [
-        Orbit(representative=key, members=tuple(sorted(members)), point_class=cls)
-        for key, (cls, members) in sorted(groups.items())
+        Orbit(representative=rep, members=tuple(members[lo:hi]),
+              point_class=_CLASS_BY_CODE[code])
+        for rep, code, lo, hi in zip(reps, orbit_codes.tolist(), bounds, bounds[1:])
     ]
     return OrbitTable(d=d, m=m, symmetric=symmetric,
                       use_shift=use_shift_symmetry, orbits=orbits)

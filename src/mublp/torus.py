@@ -12,9 +12,12 @@ Points with rational coordinates a_j/m are classified exactly in Z[zeta_m]
 (the exact path is authoritative); arbitrary points fall back to 64-bit
 floating point with tolerance ``eps``.
 
-Grid enumeration is vectorised: each chunk of linear indices is decoded to
-digit vectors, folded to root-of-unity multiplicity counts, and classified by
-integer arithmetic only.  Chunk boundaries are fixed, so results do not
+Grid enumeration is vectorised.  A point's class only depends on the
+multiset of its coordinates, so each multiset is classified once by integer
+arithmetic on its root-of-unity multiplicity counts.  Small rank tables
+("multiset of rank r plus coordinate a") give, by broadcasting, the multiset
+rank of every point in C order, and the codes are gathered in slabs of whole
+leading coordinates.  The slabs are fixed by (d, m), so results do not
 depend on the worker count.
 """
 
@@ -245,34 +248,33 @@ def _codes_from_digit_rows(digits: np.ndarray, d: int, m: int) -> np.ndarray:
     return codes
 
 
-def _multiset_classification(d: int, m: int):
-    """Exact codes for every sorted digit row, keyed for searchsorted.
+def _multiset_rank_tables(d: int, m: int):
+    """Rank tables of coordinate multisets, and the exact code of each one.
 
-    The root sum 1 + sum zeta^(a_j) only depends on the coordinate multiset,
-    so the m**(d-1) grid points collapse onto C(m+d-2, d-1) exact
-    classifications.
+    Multisets of size k are ranked in lexicographic order of their sorted
+    rows (``combinations_with_replacement`` order).  ``tables[k-1][a, r]`` is
+    the rank of "the size-(k-1) multiset of rank r, plus a"; every size-k
+    multiset arises this way.  The root sum 1 + sum zeta^(a_j) only depends
+    on the coordinate multiset, so the codes, indexed by the rank of a
+    size-(d-1) multiset, hold the C(m+d-2, d-1) exact classifications of the
+    m**(d-1) grid points.
     """
-    import itertools
-
-    rows = np.array(
-        list(itertools.combinations_with_replacement(range(m), d - 1)),
-        dtype=np.int64,
-    ).reshape(-1, d - 1)
-    codes = _codes_from_digit_rows(rows, d, m)
-    place = m ** np.arange(d - 2, -1, -1, dtype=np.int64)
-    keys = rows @ place  # lexicographic rows give ascending keys
-    return keys, codes
-
-
-def _exact_codes_chunk(d, m, lo, hi, keys, ms_codes) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.sort(_decode_digits(idx, m, d - 1), axis=1)
-    place = m ** np.arange(d - 2, -1, -1, dtype=np.int64)
-    codes = ms_codes[np.searchsorted(keys, digits @ place)]
-    if lo == 0:
-        codes = codes.copy()
-        codes[0] = CODE_ZERO
-    return codes
+    rows = np.zeros((1, 0), dtype=np.int64)     # the one empty multiset
+    tables = []
+    for k in range(1, d):
+        grown = np.concatenate(
+            [np.repeat(np.arange(m), len(rows))[:, None], np.tile(rows, (m, 1))],
+            axis=1,
+        )
+        grown.sort(axis=1)
+        place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        # sorted rows order like their big-endian base-m keys
+        _, first, ranks = np.unique(
+            grown @ place, return_index=True, return_inverse=True
+        )
+        rows = grown[first]
+        tables.append(ranks.reshape(m, -1))
+    return tables, _codes_from_digit_rows(rows, d, m)
 
 
 def exact_grid_codes(
@@ -286,15 +288,26 @@ def exact_grid_codes(
     Returns a flat uint8 array in lexicographic (C) order with values
     CODE_ZERO/CODE_ORT/CODE_UB/CODE_FORBIDDEN.
     """
-    total = _check_budget(d, m, budget)
-    keys, ms_codes = _multiset_classification(d, m)
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    parts = run_chunked(
-        lambda b: _exact_codes_chunk(d, m, b[0], b[1], keys, ms_codes),
-        bounds,
+    _check_budget(d, m, budget)
+    tables, ms_codes = _multiset_rank_tables(d, m)
+    # multiset ranks of the last d-2 coordinates of every point, in C order
+    ranks = np.zeros(1, dtype=np.int64)
+    for table in tables[:-1]:
+        ranks = table[:, ranks].ravel()
+    # codes by (leading coordinate, rank of the rest); d = 1 has one point
+    leading = ms_codes[tables[-1]] if tables else ms_codes[None, :]
+    codes = np.empty((len(leading), ranks.size), dtype=np.uint8)
+    # slabs of whole leading coordinates, about _CHUNK points each
+    step = max(1, _CHUNK // ranks.size)
+    run_chunked(
+        lambda lo: np.take(leading[lo : lo + step], ranks, axis=1,
+                           out=codes[lo : lo + step]),
+        range(0, len(leading), step),
         workers,
     )
-    return np.concatenate(parts)
+    codes = codes.ravel()
+    codes[0] = CODE_ZERO
+    return codes
 
 
 def _float_codes_chunk(d: int, m: int, lo: int, hi: int, eps: float) -> np.ndarray:
@@ -367,12 +380,18 @@ def grid_to_csv(
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int | None = None,
 ) -> None:
-    """One row per ORT/UB point: numerators then the class label."""
+    """One row per ORT/UB point: numerators then the class label.
+
+    Rows are assembled column by column from string tables and written
+    _CHUNK rows at a time, so memory stays flat on large grids.
+    """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    labels = {CODE_ORT: "ORT", CODE_UB: "UB"}
     indices = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
-    if indices.size:
-        digits = _decode_digits(indices, m, d - 1)
-        for row, lin in zip(digits.tolist(), indices.tolist()):
-            stream.write(",".join(str(v) for v in row))
-            stream.write("," + labels[int(codes[lin])] + "\n")
+    numerators = np.array([f"{v}," for v in range(m)], dtype=object)
+    labels = np.array(["", "ORT\n", "UB\n", ""], dtype=object)  # by class code
+    for lo in range(0, indices.size, _CHUNK):
+        block = indices[lo : lo + _CHUNK]
+        lines = labels[codes[block]]
+        for column in _decode_digits(block, m, d - 1).T[::-1]:
+            lines = numerators[column] + lines
+        stream.write("".join(lines.tolist()))

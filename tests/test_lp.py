@@ -12,6 +12,7 @@ from mublp.lp import (
     canonical_char,
     canonical_char_codes,
     canonical_point,
+    canonical_point_codes,
     char_orbit,
     export_lp,
     extract_dual_witness,
@@ -20,7 +21,15 @@ from mublp.lp import (
     solution_to_json_obj,
     solve_lp,
 )
-from mublp.torus import PointClass, TorusPoint, _decode_digits, difference
+from mublp.torus import (
+    CODE_ORT,
+    CODE_UB,
+    PointClass,
+    TorusPoint,
+    _decode_digits,
+    difference,
+    exact_grid_codes,
+)
 from mublp.witness import (
     TrigPolynomial,
     delsarte_bound,
@@ -118,6 +127,47 @@ def test_canonical_char_codes_match_canonical_char(d, m, use_shift):
     codes = canonical_char_codes(digits, m, use_shift)
     decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
     assert decoded == [canonical_char(g, m, use_shift) for g in map(tuple, digits.tolist())]
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_canonical_point_codes_match_canonical_point(d, m, use_shift):
+    digits = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
+    codes = canonical_point_codes(digits, m, use_shift)
+    decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
+    assert decoded == [canonical_point(y, m, use_shift) for y in map(tuple, digits.tolist())]
+
+
+def _orbits_reference(d, m, use_shift, symmetric):
+    """Orbits grouped point by point in a dict keyed by ``canonical_point``."""
+    codes = exact_grid_codes(d, m)
+    classes = {CODE_ORT: PointClass.ORT, CODE_UB: PointClass.UB}
+    groups = {}
+    for lin, row in enumerate(itertools.product(range(m), repeat=d - 1)):
+        if codes[lin] in classes:
+            key = canonical_point(row, m, use_shift) if symmetric else row
+            groups.setdefault(key, []).append((row, classes[int(codes[lin])]))
+    return [
+        (key, tuple(sorted(y for y, _ in group)), {cls for _, cls in group})
+        for key, group in sorted(groups.items())
+    ]
+
+
+@pytest.mark.parametrize("d,m", [(2, 5), (3, 3), (3, 12), (4, 6), (5, 7), (6, 4)])
+@pytest.mark.parametrize("use_shift", [False, True])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_build_orbits_matches_dict_reference(d, m, use_shift, symmetric):
+    table = build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
+    got = [(o.representative, o.members, {o.point_class}) for o in table.orbits]
+    assert got == _orbits_reference(d, m, use_shift, symmetric)
+
+
+def test_build_orbits_rejects_orbit_with_mixed_classes(monkeypatch):
+    codes = exact_grid_codes(3, 3)
+    codes[2 * 3 + 1] = CODE_UB     # (2, 1) is ORT, like (1, 2) in its orbit
+    monkeypatch.setattr("mublp.lp.exact_grid_codes", lambda *a, **k: codes)
+    with pytest.raises(AssertionError, match="mixes classes"):
+        build_orbits(3, 3)
 
 
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])

@@ -6,6 +6,10 @@ import pytest
 
 from mublp.config import BudgetExceededError
 from mublp.torus import (
+    CODE_FORBIDDEN,
+    CODE_ORT,
+    CODE_UB,
+    CODE_ZERO,
     PointClass,
     TorusPoint,
     classify,
@@ -152,6 +156,58 @@ def test_exact_codes_deterministic_across_workers():
     a = exact_grid_codes(5, 6, workers=1)
     b = exact_grid_codes(5, 6, workers=4)
     assert np.array_equal(a, b)
+    # (6, 16) is classified in 4 slabs of 4 leading coordinates, more slabs
+    # than either worker count
+    a = exact_grid_codes(6, 16, workers=1)
+    b = exact_grid_codes(6, 16, workers=3)
+    assert np.array_equal(a, b)
+
+
+_CODE_OF_CLASS = {
+    PointClass.ZERO: CODE_ZERO,
+    PointClass.ORT: CODE_ORT,
+    PointClass.UB: CODE_UB,
+    PointClass.FORBIDDEN: CODE_FORBIDDEN,
+}
+
+
+@pytest.mark.parametrize("d,m", [(3, 48), (4, 30), (5, 24)])
+def test_exact_codes_match_scalar_classify(d, m):
+    # grids beyond the exact-vs-float full scan (d <= 8, m <= 12); the scalar
+    # exact classify works in Z[zeta_m] with CycloInt arithmetic
+    codes = exact_grid_codes(d, m)
+    assert codes.shape == (m ** (d - 1),)
+    rng = np.random.default_rng(d * 100 + m)
+    allowed = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
+    picks = np.concatenate([
+        [0, codes.size - 1],
+        rng.integers(0, codes.size, 200),
+        rng.choice(allowed, min(100, allowed.size), replace=False),
+    ])
+    for lin in picks.tolist():
+        point = TorusPoint.exact(m, np.unravel_index(lin, (m,) * (d - 1)))
+        assert codes[lin] == _CODE_OF_CLASS[classify(point, d)], (d, m, point)
+
+
+def _csv_reference(d, m):
+    """One ``write`` per row, as the grid CSV was first written."""
+    codes = exact_grid_codes(d, m)
+    buf = io.StringIO()
+    labels = {CODE_ORT: "ORT", CODE_UB: "UB"}
+    for lin, row in enumerate(itertools.product(range(m), repeat=d - 1)):
+        if codes[lin] in labels:
+            buf.write(",".join(str(v) for v in row))
+            buf.write("," + labels[int(codes[lin])] + "\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("d,m", [(5, 12), (4, 10), (6, 8), (3, 1)])
+def test_grid_csv_matches_per_row_reference(d, m):
+    buf = io.StringIO()
+    grid_to_csv(d, m, buf)
+    assert buf.getvalue() == _csv_reference(d, m)
+    if m == 1:
+        assert buf.getvalue() == ""
 
 
 def test_grid_csv_golden_d3m3():
