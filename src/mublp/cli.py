@@ -39,12 +39,10 @@ class InputError(Exception):
 
 
 def _emit(args, payload) -> None:
-    text = render_json(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(args.out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_json(payload))
 
 
 def _eps(args) -> float:
@@ -392,6 +390,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except had.FamilyPointError as exc:     # a check that ran and failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

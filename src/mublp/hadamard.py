@@ -19,7 +19,17 @@ import numpy as np
 
 from .config import DEFAULT_EPS
 from .serialize import format_float
-from .torus import PointClass, TorusPoint, classify, column_to_point, difference
+from .torus import (
+    _CLASS_BY_CODE,
+    CODE_FORBIDDEN,
+    CODE_ZERO,
+    TorusPoint,
+    _codes_from_digit_rows,
+    column_to_point,
+    float_difference_codes,
+)
+
+_PAIR_BLOCK = 1 << 16
 
 
 class FamilyPointError(ValueError):
@@ -149,8 +159,10 @@ def family_to_points(
 
     Requires the dephased convention: all first rows are ones and the first
     column of the first matrix is all ones, so the first point is the origin.
-    Every pairwise difference must classify ORT or UB; the offending column
-    pair is reported otherwise.
+    Every pairwise difference must classify ORT or UB; the first offending
+    column pair (i, j) in row-major order is reported otherwise.  Pairs are
+    classified in blocks of _PAIR_BLOCK: exact pairs through the exact grid
+    classifier, pairs with a float point through the vectorised float path.
     """
     d = family.d
     if snap_denominator is None:
@@ -162,15 +174,52 @@ def family_to_points(
     if not points or not points[0].is_zero(eps):
         raise FamilyPointError("first column of the first matrix must be all ones",
                                pair=(0, 0))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            cls = classify(difference(points[i], points[j]), d, eps)
-            if cls not in (PointClass.ORT, PointClass.UB):
-                raise FamilyPointError(
-                    f"difference of columns {i} and {j} classifies {cls.value}",
-                    pair=(i, j),
-                )
+    # every exact point is over snap_denominator, so an exact pair's
+    # difference is the row difference mod that denominator
+    n = d - 1
+    exact = np.array([p.is_exact for p in points])
+    numerators = np.array(
+        [p.coords if p.is_exact else (0,) * n for p in points], dtype=np.int64
+    )
+    coords = np.array([p.as_floats() for p in points], dtype=float)
+    for i, j in _pair_blocks(len(points)):
+        codes = np.empty(i.size, dtype=np.uint8)
+        both = exact[i] & exact[j]
+        if both.any():
+            digits = (numerators[i[both]] - numerators[j[both]]) % snap_denominator
+            exact_codes = _codes_from_digit_rows(digits, d, snap_denominator)
+            exact_codes[~digits.any(axis=1)] = CODE_ZERO
+            codes[both] = exact_codes
+        floating = ~both
+        if floating.any():
+            codes[floating] = float_difference_codes(
+                coords[i[floating]], coords[j[floating]], d, eps
+            )
+        bad = np.flatnonzero((codes == CODE_ZERO) | (codes == CODE_FORBIDDEN))
+        if bad.size:
+            k = bad[0]
+            pair = (int(i[k]), int(j[k]))
+            raise FamilyPointError(
+                f"difference of columns {pair[0]} and {pair[1]} classifies "
+                f"{_CLASS_BY_CODE[int(codes[k])].value}",
+                pair=pair,
+            )
     return points
+
+
+def _pair_blocks(count: int):
+    """The pairs i < j of ``range(count)`` in row-major order, as (i, j) arrays.
+
+    Blocks hold _PAIR_BLOCK pairs each (the last may be shorter), so memory
+    stays bounded however many points there are.
+    """
+    rows = np.arange(count, dtype=np.int64)
+    row_start = rows * (2 * count - rows - 1) // 2     # pairs before row i
+    total = count * (count - 1) // 2
+    for lo in range(0, total, _PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + _PAIR_BLOCK, total), dtype=np.int64)
+        i = np.searchsorted(row_start, flat, side="right") - 1
+        yield i, flat - row_start[i] + i + 1
 
 
 @dataclass(frozen=True)

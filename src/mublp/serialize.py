@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import uuid
 from fractions import Fraction
 
 
@@ -73,8 +75,29 @@ def render_json(value, *, indent: int = 2) -> str:
 
 
 def write_json(path, value, *, indent: int = 2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(value, indent=indent))
+    """Render ``value``, then replace ``path`` with it atomically.
+
+    The text goes to a temporary file in the target's directory, which
+    ``os.replace`` then renames over ``path``; a render or write that fails
+    leaves any previous file untouched and removes the temporary file.
+    A path that exists but is no regular file (``/dev/stdout``, a pipe) is
+    written in place.
+    """
+    text = render_json(value, indent=indent)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_json(path):

@@ -160,6 +160,27 @@ def difference(p: TorusPoint, q: TorusPoint) -> TorusPoint:
     return TorusPoint.from_floats(a - b for a, b in zip(pa, qa))
 
 
+def float_difference_codes(
+    a: np.ndarray, b: np.ndarray, d: int, eps: float = DEFAULT_EPS
+) -> np.ndarray:
+    """Class codes of ``classify(difference(p, q))`` for float rows a, b.
+
+    The rows hold the float coordinates of p and q (``as_floats``); the
+    differences are windowed, summed and tested exactly as the scalar float
+    path does, so a pair with a float point gets the same class either way.
+    """
+    x = ((a - b + 0.5) % 1.0) - 0.5
+    total = np.zeros(len(x), dtype=complex)
+    for column in np.exp(2j * np.pi * x).T:
+        total = total + column
+    v = np.abs(1.0 + total) ** 2
+    codes = np.full(len(x), CODE_FORBIDDEN, dtype=np.uint8)
+    codes[np.abs(v - d) <= eps] = CODE_UB
+    codes[np.abs(v) <= eps] = CODE_ORT
+    codes[np.all(np.abs(x) <= eps, axis=1)] = CODE_ZERO
+    return codes
+
+
 def negate(p: TorusPoint) -> TorusPoint:
     if p.is_exact:
         m = p.denominator

@@ -194,13 +194,6 @@ def _support_matrix(t: TrigPolynomial):
     return g, c
 
 
-def eval_trig_at_floats(t: TrigPolynomial, xs: np.ndarray) -> np.ndarray:
-    """Vectorised continuous-mode evaluation at rows of ``xs``; real parts."""
-    g, c = _support_matrix(t)
-    phases = np.exp(2j * np.pi * (np.asarray(xs, dtype=float) @ g.T))
-    return (phases @ c.astype(complex)).real
-
-
 def grid_values(t: TrigPolynomial) -> np.ndarray:
     """Values of a grid-mode polynomial at every grid point, via the FFT.
 
@@ -239,9 +232,14 @@ def check_point_set(
 ) -> BoundReport:
     """Replay the bound for a finite point set against an even witness.
 
-    Computes S spectrally over the witness support and spatially over all
-    pairwise differences, demands agreement within eps * |B|^2 (Fourier
-    inversion), and reports the slack of |B|^2 <= S <= h(0) |B|.
+    With E[j, gamma] = e(<gamma, b_j>) over the witness support, S is computed
+    spectrally as sum_gamma |sum_j E[j, gamma]|^2 hhat(gamma) and spatially
+    from the Gram matrix (E * hhat) @ E^*, whose (j, k) entry is
+    h(b_j - b_k) because e(<gamma, b_j - b_k>) = e(<gamma, b_j>)
+    conj(e(<gamma, b_k>)).  The two must agree within eps * |B|^2 (Fourier
+    inversion); the report gives the slack of |B|^2 <= S <= h(0) |B| and the
+    worst off-diagonal h(b_j - b_k).  Memory is |B| x (support size) for E
+    plus |B| x |B| for the Gram matrix.
     """
     if not t.even:
         raise ValueError("the witness polynomial must be even")
@@ -251,10 +249,10 @@ def check_point_set(
     nb = len(pts)
     xs = np.array([p.as_floats() for p in pts], dtype=float)
     g, c = _support_matrix(t)
-    bhat = np.exp(2j * np.pi * (g @ xs.T)).sum(axis=1)
+    e = np.exp(2j * np.pi * (xs @ g.T))
+    bhat = e.sum(axis=0)
     s_spectral = float(np.abs(bhat) ** 2 @ c)
-    diff = xs[:, None, :] - xs[None, :, :]
-    values = eval_trig_at_floats(t, diff.reshape(nb * nb, -1)).reshape(nb, nb)
+    values = ((e * c) @ e.conj().T).real
     s_spatial = float(values.sum())
     if abs(s_spectral - s_spatial) > eps * max(1.0, float(nb * nb)):
         raise InversionMismatchError(

@@ -1,4 +1,5 @@
 import json
+import math
 
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
@@ -50,6 +51,22 @@ def test_bound_subcommand(run_cli, tmp_path):
     payload = json.loads(out)
     assert payload["bound"] == "9"
     assert abs(payload["s_spectral"] - 81) < 1e-6
+
+
+def test_bound_and_verify_fail_a_forbidden_difference(run_cli, tmp_path):
+    # columns 0 and 1 differ by a phase 0.7/(2 pi): neither ORT nor UB
+    bad = [[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [math.cos(0.7), math.sin(0.7)]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 2, "count": 1, "hadamards": bad}))
+    code, out, err = run_cli("bound", path)
+    assert code == 1, err
+    assert out == ""
+    assert "error: difference of columns 0 and 1 classifies forbidden" in err
+    code, out, err = run_cli("verify", path)
+    assert code == 1, err
+    report = json.loads(out)
+    assert not report["points_ok"]
+    assert report["point_error"] == "difference of columns 0 and 1 classifies forbidden"
 
 
 def test_grid_csv_and_json(run_cli):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mublp.constructions import SidonSet, fourier_matrix, prime_mubs, sidon_row_system
+from mublp import hadamard
+from mublp.config import DEFAULT_EPS
+from mublp.constructions import (
+    SidonSet,
+    fourier_matrix,
+    prime_mubs,
+    prime_power_mubs,
+    sidon_row_system,
+)
 from mublp.hadamard import (
     FamilyPointError,
     MubFamily,
@@ -19,7 +27,7 @@ from mublp.hadamard import (
     verify_family,
 )
 from mublp.serialize import render_json
-from mublp.torus import PointClass, TorusPoint, classify, difference
+from mublp.torus import PointClass, TorusPoint, classify, column_to_point, difference
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex)
 H2 = np.array([[1, 1], [1j, -1j]], dtype=complex)
@@ -104,6 +112,106 @@ def test_family_to_points_reports_offending_pair():
     with pytest.raises(FamilyPointError) as err:
         family_to_points(fam)
     assert err.value.pair == (0, 1)
+
+
+def _family_to_points_reference(family, eps=DEFAULT_EPS):
+    """family_to_points as one scalar classify(difference(...)) per pair."""
+    d = family.d
+    snap = family.parameters.get("root_order")
+    points = [column_to_point(h[:, j], snap, eps)
+              for h in family.hadamards for j in range(d)]
+    if not points or not points[0].is_zero(eps):
+        raise FamilyPointError("first column of the first matrix must be all ones",
+                               pair=(0, 0))
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            cls = classify(difference(points[i], points[j]), d, eps)
+            if cls not in (PointClass.ORT, PointClass.UB):
+                raise FamilyPointError(
+                    f"difference of columns {i} and {j} classifies {cls.value}",
+                    pair=(i, j),
+                )
+    return points
+
+
+def _points_or_error(fn, family):
+    try:
+        return fn(family), None
+    except FamilyPointError as exc:
+        return None, (exc.pair, str(exc))
+
+
+def _with_parameters(family, mats=None, **parameters):
+    return MubFamily(d=family.d, hadamards=family.hadamards if mats is None else mats,
+                     parameters=parameters)
+
+
+def _nudged(family, rng, phase):
+    """Copies with one entry (row >= 1) of one column turned by ``phase``."""
+    copies = []
+    for _ in range(4):
+        mats = [h.copy() for h in family.hadamards]
+        a = int(rng.integers(len(mats)))
+        row = int(rng.integers(1, family.d))
+        col = int(rng.integers(family.d))
+        mats[a][row, col] *= np.exp(2j * np.pi * phase)
+        copies.append(_with_parameters(family, mats, **family.parameters))
+    return copies
+
+
+def _reference_cases():
+    rng = np.random.default_rng(7)
+    w = np.exp(2j * np.pi / 3)
+    f3 = np.array([[1, 1, 1], [1, w, w**2], [1, w**2, w]])
+    families = [prime_power_mubs(p, k) for p, k in
+                ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+    cases = []
+    for fam in families:
+        m = fam.parameters["root_order"]
+        cases.append(fam)
+        cases.append(_with_parameters(fam))        # no root order: float points
+        cases += _nudged(fam, rng, 1 / m)           # still on the grid: exact
+        cases += _nudged(fam, rng, 0.0123)          # unsnapped float column
+        cases += _nudged(_with_parameters(fam), rng, 1 / m)
+    cases += [
+        MubFamily(d=2, hadamards=(F2, H2), parameters={"root_order": 2}),  # mixed
+        _with_parameters(prime_power_mubs(2, 2), root_order=2),             # mixed
+        MubFamily(d=3, hadamards=(f3, f3), parameters={"root_order": 3}),   # zero
+        MubFamily(d=3, hadamards=(f3, f3)),                                 # zero
+        MubFamily(d=2, hadamards=(np.array([[1, 1], [1, np.exp(0.7j)]]),)),
+        # float columns at -1/2 and 1/2 - 5e-13: their difference wraps to zero
+        MubFamily(d=2, hadamards=(
+            F2, np.array([[1, 1], [np.exp(1j * np.pi * (1 - 1e-12)), 1j]]))),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("block", [hadamard._PAIR_BLOCK, 7, 64])
+def test_family_to_points_matches_scalar_reference(block, monkeypatch):
+    monkeypatch.setattr(hadamard, "_PAIR_BLOCK", block)
+    outcomes = set()
+    for fam in _reference_cases():
+        points, error = _points_or_error(_family_to_points_reference, fam)
+        assert _points_or_error(family_to_points, fam) == (points, error)
+        if error:
+            outcomes.add(error[1].split()[-1])
+        else:
+            outcomes.add(("ok", frozenset(p.is_exact for p in points)))
+    # passing exact, float and mixed point sets, and every failure message
+    assert outcomes == {("ok", frozenset({True})), ("ok", frozenset({False})),
+                        ("ok", frozenset({True, False})),
+                        "forbidden", "zero", "ones"}
+
+
+def test_pair_blocks_follow_triu_order(monkeypatch):
+    monkeypatch.setattr(hadamard, "_PAIR_BLOCK", 5)
+    for count in (0, 1, 2, 3, 6, 11):
+        blocks = list(hadamard._pair_blocks(count))
+        assert all(i.size == 5 for i, _ in blocks[:-1])
+        i = np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0)
+        j = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0)
+        ti, tj = np.triu_indices(count, 1)
+        assert np.array_equal(i, ti) and np.array_equal(j, tj)
 
 
 def test_row_quotient_check_complete_d2_family():

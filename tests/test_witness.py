@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mublp.constructions import prime_mubs
+from mublp.constructions import prime_mubs, prime_power_mubs
 from mublp.hadamard import family_to_points
-from mublp.torus import TorusPoint, enumerate_grid, zero_point
+from mublp.torus import TorusPoint, difference, enumerate_grid, zero_point
 from mublp.witness import (
     InversionMismatchError,
     TrigPolynomial,
@@ -108,10 +108,17 @@ def test_eval_trig_examples():
     assert eval_trig(single, TorusPoint.from_floats([0.17, -0.4])) == 5.0
 
 
+def eval_trig_at_floats(t: TrigPolynomial, xs: np.ndarray) -> np.ndarray:
+    """Continuous-mode evaluation at rows of ``xs`` over the sorted support."""
+    gammas = sorted(t.terms)
+    g = np.array(gammas, dtype=float)
+    c = np.array([float(t.terms[gamma]) for gamma in gammas])
+    phases = np.exp(2j * np.pi * (np.asarray(xs, dtype=float) @ g.T))
+    return (phases @ c.astype(complex)).real
+
+
 def test_eval_trig_matches_eval_h_at_random_points():
     # the inversion identity, 1000 random points per dimension
-    from mublp.witness import eval_trig_at_floats
-
     rng = np.random.default_rng(101)
     for d in range(2, 9):
         h = expand_h(d)
@@ -169,6 +176,30 @@ def test_check_point_set_detects_forbidden_difference():
     assert report.max_offdiagonal > 1e-6
     assert report.slack_upper < -1e-6
     assert not report.hypothesis_ok
+
+
+_POINT_SETS = {
+    "d3": lambda: family_to_points(prime_mubs(3)),
+    "d5": lambda: family_to_points(prime_mubs(5)),
+    "d4": lambda: family_to_points(prime_power_mubs(2, 2)),
+    "d8": lambda: family_to_points(prime_power_mubs(2, 3)),
+    "forbidden": lambda: [zero_point(6), TorusPoint.exact(2, (0, 0, 0, 0, 1))],
+}
+
+
+@pytest.mark.parametrize("name", list(_POINT_SETS))
+def test_check_point_set_matches_closed_form_at_every_difference(name):
+    # the closed-form eval_h is an independent path from expand_h
+    points = _POINT_SETS[name]()
+    d = points[0].dim + 1
+    report = check_point_set(points, expand_h(d), eps=1e-6)
+    nb = len(points)
+    values = np.array([[eval_h(d, difference(p, q)) for q in points] for p in points])
+    assert abs(report.s_spatial - values.sum()) <= 1e-9 * nb * nb
+    off = values[~np.eye(nb, dtype=bool)]
+    assert abs(report.max_offdiagonal - off.max()) <= 1e-9
+    assert report.cardinality == nb
+    assert report.hypothesis_ok is (name != "forbidden")
 
 
 def test_check_point_set_rejects_odd_witness():
