@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import constructions as cons
 from . import hadamard as had
@@ -292,7 +293,9 @@ def cmd_export_lp(args) -> int:
 # parser
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="mublp",
         description="Torus-point classification, witness bounds, and "
@@ -390,7 +393,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except had.FamilyPointError as exc:     # a check that ran and failed
+    # a check that ran and failed
+    except (had.FamilyPointError, lpmod.CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:

@@ -45,7 +45,6 @@ mu-basis.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import time
@@ -167,27 +166,45 @@ def canonical_char_codes(
     return _least_image_code(images, m)
 
 
+def _multiset_permutations(rows: np.ndarray) -> np.ndarray:
+    """Every distinct ordering of each row's multiset, stacked.
+
+    Rows holding the same multiset are listed once.  The orderings are built
+    one position at a time over a count matrix (distinct values per row):
+    each partial ordering branches on the values it still has left, so
+    memory grows with the number of distinct orderings, not with the
+    (columns)! permutations a tuple-by-tuple loop would try.
+    """
+    # at most a few dozen rows: a set of sorted tuples, because
+    # np.unique(axis=0) is slow on its first call in a process
+    rows = np.array(sorted(set(map(tuple, np.sort(rows, axis=1).tolist()))),
+                    dtype=np.int64)
+    values, inverse = np.unique(rows, return_inverse=True)
+    counts = np.zeros((len(rows), values.size), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(rows))[:, None], inverse.reshape(rows.shape)), 1)
+    prefix = np.zeros((len(counts), 0), dtype=np.int64)
+    for _ in range(rows.shape[1]):
+        branch, value = np.nonzero(counts)
+        prefix = np.column_stack([prefix[branch], value])
+        counts = counts[branch]
+        counts[np.arange(branch.size), value] -= 1
+    return values[prefix]
+
+
 def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
-    """All characters equivalent to gamma (full orbit, not just sorted reps)."""
-    seen = set()
-    frontier = [tuple(g % m for g in gamma)]
-    while frontier:
-        g = frontier.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        candidates = [tuple((-v) % m for v in g)]
-        candidates.extend(itertools.permutations(g))
-        if use_shift:
-            full = ((-sum(g)) % m,) + g
-            for t in range(1, len(full)):
-                candidates.append(
-                    tuple(full[j] for j in range(len(full)) if j != t)
-                )
-        for cand in candidates:
-            if cand not in seen:
-                frontier.append(cand)
-    return seen
+    """All characters equivalent to gamma (full orbit, not just sorted reps).
+
+    Permutations and negation give every ordering of gamma and of -gamma.
+    With the shift maps the group is S_d x {+-1} acting on the zero-sum
+    extension (-sum(gamma), gamma), so the orbit is every ordering of that
+    extension minus one entry, and of its negation.
+    """
+    g = np.asarray(gamma, dtype=np.int64).reshape(1, -1) % m
+    if use_shift:
+        full = np.hstack([(-g.sum(axis=1, keepdims=True)) % m, g])
+        g = np.vstack([np.delete(full, t, axis=1) for t in range(full.shape[1])])
+    base = np.vstack([g, (-g) % m])
+    return set(map(tuple, _multiset_permutations(base).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +620,9 @@ def extract_dual_witness(
         raise CertificateError(
             f"duality gap {abs(h0 - sol.M):.3e} exceeds {gap_tolerance}"
         )
-    samples = [
-        TorusPoint.exact(m, row) for row in problem.member_matrix.tolist()
-    ]
-    report = delsarte_bound(witness, allowed=None, samples=samples, eps=eps)
+    report = delsarte_bound(
+        witness, allowed=None, samples=problem.member_matrix, eps=eps
+    )
     if not report.valid:
         raise CertificateError(
             "certificate failed witness validation: " + "; ".join(report.messages)

@@ -309,7 +309,15 @@ def exact_grid_codes(
     Returns a flat uint8 array in lexicographic (C) order with values
     CODE_ZERO/CODE_ORT/CODE_UB/CODE_FORBIDDEN.
     """
-    _check_budget(d, m, budget)
+    total = _check_budget(d, m, budget)
+    # the exact arithmetic holds (multisets x m) count and correlation matrices
+    multisets = math.comb(m + d - 2, d - 1)
+    if multisets * m > budget:
+        raise BudgetExceededError(
+            f"grid of {total} points has {multisets} coordinate multisets; "
+            f"their {multisets} x {m} count matrices ({multisets * m} cells) "
+            f"exceed enumeration budget {budget}"
+        )
     tables, ms_codes = _multiset_rank_tables(d, m)
     # multiset ranks of the last d-2 coordinates of every point, in C order
     ranks = np.zeros(1, dtype=np.int64)

@@ -298,7 +298,25 @@ def delsarte_bound(
     every supplied allowed-set sample point.  ``allowed``, when given, is a
     predicate each sample must satisfy (callers pass an ORT/UB membership
     test).  Any violation marks the bound invalid rather than raising.
+
+    ``samples`` are ``TorusPoint``s or, for a grid-mode ``t``, a (k, dim)
+    integer array of residues (without ``allowed``).  Above 64 grid samples
+    the values are read from one ``grid_values`` FFT.
     """
+    residues = None
+    if isinstance(samples, np.ndarray):
+        if t.grid is None or allowed is not None:
+            raise ValueError(
+                "residue samples need a grid-mode witness and no allowed predicate"
+            )
+        if (samples.ndim != 2 or samples.shape[1] != t.dim
+                or not np.issubdtype(samples.dtype, np.integer)):
+            raise ValueError(f"residue samples must be integers of shape (k, {t.dim})")
+        residues = samples % t.grid
+        samples = ()
+        if len(residues) <= 64:
+            samples = [TorusPoint.exact(t.grid, row) for row in residues.tolist()]
+            residues = None
     messages = []
     if not t.even:
         messages.append("polynomial is not even")
@@ -318,25 +336,23 @@ def delsarte_bound(
     tol = eps * max(1.0, abs(float(h0)))
 
     samples = list(samples)
+    if allowed is not None:
+        for p in samples:
+            if not allowed(p):
+                messages.append(f"sample {p} is not in the allowed set")
+                return DelsarteReport(False, bound, min_coeff, 0.0,
+                                      tuple(messages))
+    if t.grid is not None and len(samples) > 64:
+        residues = np.array([_grid_residues(t, p) for p in samples])
     max_sample = 0.0
-    if samples:
-        if allowed is not None:
-            for p in samples:
-                if not allowed(p):
-                    messages.append(f"sample {p} is not in the allowed set")
-                    return DelsarteReport(False, bound, min_coeff, 0.0,
-                                          tuple(messages))
-        if t.grid is not None and len(samples) > 64:
-            values = grid_values(t)
-            m = t.grid
-            sampled = [float(values[_grid_residues(t, p)]) for p in samples]
-            max_sample = max(sampled)
-        else:
-            max_sample = max(float(np.real(eval_trig(t, p, eps))) for p in samples)
-        if max_sample > tol:
-            messages.append(
-                f"witness is positive on an allowed sample: {max_sample:.3g}"
-            )
+    if residues is not None:
+        max_sample = float(np.real(grid_values(t)[tuple(residues.T)]).max())
+    elif samples:
+        max_sample = max(float(np.real(eval_trig(t, p, eps))) for p in samples)
+    if (samples or residues is not None) and max_sample > tol:
+        messages.append(
+            f"witness is positive on an allowed sample: {max_sample:.3g}"
+        )
     return DelsarteReport(not messages, bound, min_coeff, max_sample, tuple(messages))
 
 

@@ -1,6 +1,9 @@
 import json
 import math
 
+from mublp import cli
+from mublp import lp as lpmod
+
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
     code, out, err = run_cli("construct", "--d", 5, "--kind", "prime",
@@ -152,3 +155,37 @@ def test_outputs_deterministic_across_runs_and_workers(run_cli):
     assert g1[0] == 0, g1[2]
     assert g2[0] == 0, g2[2]
     assert g1[1] == g2[1]
+
+
+def test_in_process_calls_share_one_parser_without_leaking_options(
+    run_cli, tmp_path, capsys
+):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ("lp", "--d", "3", "--m", "4", "--progress",
+         "--dual-witness", str(tmp_path / "dw.json")),
+        ("lp", "--d", "3", "--m", "4"),
+        ("grid", "--d", "3", "--m", "3"),
+    ]
+    for argv in calls:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_cli(*argv), argv
+        # only the call that asks for progress lines prints them
+        assert ("round=" in err) == ("--progress" in argv), argv
+    args = cli.build_parser().parse_args(["lp", "--d", "3", "--m", "4"])
+    assert not args.progress and args.dual_witness is None
+
+
+def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
+    def refuse(sol, problem):
+        raise lpmod.CertificateError("certified bound 1 differs from M=9")
+
+    monkeypatch.setattr(lpmod, "extract_dual_witness", refuse)
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: certified bound 1 differs from M=9\n"
+    assert not (tmp_path / "dw.json").exists()

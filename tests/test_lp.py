@@ -21,6 +21,7 @@ from mublp.lp import (
     solution_to_json_obj,
     solve_lp,
 )
+from mublp.serialize import render_json
 from mublp.torus import (
     CODE_ORT,
     CODE_UB,
@@ -118,6 +119,47 @@ def test_canonical_point_and_char_are_group_invariant():
             cg = canonical_char(g, m, use_shift)
             for img in char_orbit(g, m, use_shift):
                 assert canonical_char(img, m, use_shift) == cg
+
+
+def _char_orbit_bfs(gamma, m, use_shift=False):
+    """Reference orbit: BFS over negation, every permutation and the shifts."""
+    seen = set()
+    frontier = [tuple(g % m for g in gamma)]
+    while frontier:
+        g = frontier.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        candidates = [tuple((-v) % m for v in g)]
+        candidates.extend(itertools.permutations(g))
+        if use_shift:
+            full = ((-sum(g)) % m,) + g
+            for t in range(1, len(full)):
+                candidates.append(
+                    tuple(full[j] for j in range(len(full)) if j != t)
+                )
+        for cand in candidates:
+            if cand not in seen:
+                frontier.append(cand)
+    return seen
+
+
+@pytest.mark.parametrize("d,m", [(3, 5), (4, 6), (5, 7), (6, 4), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_char_orbit_matches_bfs_reference(d, m, use_shift):
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    covered = set()
+    total = 0
+    for rep in prob.char_representatives():
+        orbit = char_orbit(rep, m, use_shift)
+        assert orbit == _char_orbit_bfs(rep, m, use_shift), rep
+        assert char_orbit(tuple(g - m for g in rep), m, use_shift) == orbit
+        assert not orbit & covered, rep
+        covered |= orbit
+        total += len(orbit)
+    # the orbits partition the cube minus gamma = 0
+    assert total == len(covered) == m ** (d - 1) - 1
+    assert (0,) * (d - 1) not in covered
 
 
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
@@ -297,6 +339,127 @@ def test_dual_witness_with_shift_symmetry():
     samples = [TorusPoint.exact(3, y) for o in prob.table.orbits for y in o.members]
     report = delsarte_bound(cert, ort_ub_predicate(3), samples)
     assert report.valid and abs(float(report.bound) - sol.M) < 1e-6
+
+
+def _certificate(d, m):
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    return prob, extract_dual_witness(solve_lp(prob), prob)
+
+
+def _assert_same_report(got, want):
+    assert got.valid == want.valid
+    assert got.bound == want.bound
+    assert got.min_coefficient == want.min_coefficient
+    assert abs(got.max_sample_value - want.max_sample_value) <= 1e-12
+    assert got.messages == want.messages
+
+
+def _values_at(t, rows):
+    """An even grid polynomial at residue rows, as a direct cosine sum."""
+    g = np.array(list(t.terms), dtype=np.int64)
+    c = np.array(list(t.terms.values()))
+    return np.cos(2.0 * np.pi * ((rows @ g.T) % t.grid) / t.grid) @ c
+
+
+@pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
+def test_delsarte_bound_accepts_residue_samples(d, m):
+    prob, cert = _certificate(d, m)
+    rows = prob.member_matrix
+    # (4,6) has 49 members, under the 64-sample FFT threshold; (5,12) has 1060
+    for sample_rows in (rows, rows[:64], rows[:1]):
+        points = [TorusPoint.exact(m, y) for y in sample_rows.tolist()]
+        want = delsarte_bound(cert, samples=points)
+        got = delsarte_bound(cert, samples=sample_rows)
+        _assert_same_report(got, want)
+        assert got.valid
+        assert abs(got.max_sample_value - _values_at(cert, sample_rows).max()) <= 1e-9
+    # unreduced residues name the same grid points
+    _assert_same_report(delsarte_bound(cert, samples=rows + m),
+                        delsarte_bound(cert, samples=rows))
+
+
+@pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
+def test_residue_samples_catch_a_positive_member(d, m):
+    prob, cert = _certificate(d, m)
+    rows = prob.member_matrix
+    y = rows[len(rows) // 2]
+    # characters orthogonal to y add their coefficient to h(y); lift h(y) to 1
+    gamma = next(g for g in itertools.product(range(m), repeat=d - 1)
+                 if any(g) and int(np.dot(g, y)) % m == 0)
+    pair = {gamma, tuple((-g) % m for g in gamma)}
+    lift = (1.0 - _values_at(cert, y[None, :])[0]) / len(pair)
+    terms = dict(cert.terms)
+    for g in pair:
+        terms[g] = terms.get(g, 0.0) + lift
+    bad = TrigPolynomial.from_terms(d - 1, terms, grid=m)
+    assert bad.even
+    # y is the one positive sample, placed last, first, or among a few
+    others = rows[_values_at(bad, rows) <= 1e-9]
+    for sample_rows in (np.vstack([others, y]), np.vstack([y, others]),
+                        np.vstack([others[:10], y])):
+        points = [TorusPoint.exact(m, r) for r in sample_rows.tolist()]
+        want = delsarte_bound(bad, samples=points)
+        got = delsarte_bound(bad, samples=sample_rows)
+        assert not got.valid
+        assert abs(got.max_sample_value - 1.0) <= 1e-9
+        _assert_same_report(got, want)
+    assert delsarte_bound(bad, samples=others).valid
+
+
+def test_residue_samples_reject_bad_shapes_and_predicates():
+    prob, cert = _certificate(3, 3)
+    with pytest.raises(ValueError):
+        delsarte_bound(cert, samples=prob.member_matrix[:, :1])
+    with pytest.raises(ValueError):
+        delsarte_bound(cert, samples=prob.member_matrix.astype(float))
+    with pytest.raises(ValueError):
+        delsarte_bound(cert, ort_ub_predicate(3), prob.member_matrix)
+
+
+def _reference_witness(sol, prob):
+    """The certificate assembled from BFS orbits and checked on TorusPoints."""
+    m, n = prob.m, prob.d - 1
+    terms = {(0,) * n: 1.0}
+    for rep, lam in sol.dual.items():
+        if lam <= 0:
+            continue
+        if prob.table.symmetric:
+            orbit = _char_orbit_bfs(rep, m, prob.table.use_shift)
+        else:
+            orbit = {tuple(rep), tuple((-g) % m for g in rep)}
+        for gamma in orbit:
+            terms[gamma] = terms.get(gamma, 0.0) + lam / len(orbit)
+    cert = TrigPolynomial.from_terms(n, terms, grid=m)
+    samples = [TorusPoint.exact(m, y) for y in prob.member_matrix.tolist()]
+    report = delsarte_bound(cert, samples=samples)
+    assert report.valid and abs(float(report.bound) - sol.M) <= 1e-4
+    return cert
+
+
+@pytest.mark.parametrize("d,m", [(d, m) for d in (2, 3, 4) for m in range(2, 7)])
+@pytest.mark.parametrize("use_shift,symmetric", [(False, True), (True, True), (False, False)])
+def test_extract_dual_witness_matches_reference_assembly(
+    d, m, use_shift, symmetric, monkeypatch
+):
+    prob = build_pseudo_mub_lp(
+        d, m, build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
+    )
+    sol = solve_lp(prob)
+    checked = []
+
+    def spy(t, allowed=None, samples=(), eps=1e-9):
+        checked.append(samples)
+        return delsarte_bound(t, allowed, samples, eps)
+
+    monkeypatch.setattr("mublp.lp.delsarte_bound", spy)
+    cert = extract_dual_witness(sol, prob)
+    want = _reference_witness(sol, prob)
+    assert render_json(trig_to_json_obj(cert)) == render_json(trig_to_json_obj(want))
+    # the witness was checked at every ORT/UB grid point
+    codes = exact_grid_codes(d, m)
+    ort_ub = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
+    (samples,) = checked
+    assert sorted(_decode_digits(ort_ub, m, d - 1).tolist()) == sorted(samples.tolist())
 
 
 def test_pseudo_mub_check_from_complete_family():

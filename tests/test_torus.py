@@ -123,6 +123,18 @@ def test_enumeration_budget_guard():
         enumerate_grid(6, 16, budget=1000)
 
 
+def test_multiset_count_matrices_count_against_the_budget():
+    # 300,000 points fit the default budget, but the exact arithmetic would
+    # hold 300,000 x 300,000 count cells (and ~8M x 4,000 at d = 3)
+    for d, m, cells in [(2, 300_000, 300_000 * 300_000), (3, 4_000, 4_001 * 2_000 * 4_000)]:
+        with pytest.raises(BudgetExceededError, match=f"{m ** (d - 1)} points.*{cells} cells"):
+            exact_grid_codes(d, m)
+    # (2, 5) has 5 points and 5 x 5 count cells: 25 fits, 24 does not
+    assert exact_grid_codes(2, 5, budget=25).tolist() == [0, 3, 3, 3, 3]
+    with pytest.raises(BudgetExceededError, match="cells"):
+        exact_grid_codes(2, 5, budget=24)
+
+
 def test_grid_lists_closed_under_negation_and_permutation():
     for d, m in [(3, 5), (4, 4), (5, 3)]:
         g = enumerate_grid(d, m)
