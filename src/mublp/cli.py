@@ -248,13 +248,21 @@ def cmd_lp(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         progress=True if args.progress or args.m >= 12 else None,
     )
+    if sol.status != "optimal":
+        # M is inf or nan here, which has no JSON form
+        print(
+            f"error: LP ended with status {sol.status} after {sol.rounds} rounds "
+            f"({sol.active_constraints} rows)",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK_FAILED
     payload = lpmod.solution_to_json_obj(problem, sol)
-    if args.dual_witness and sol.status == "optimal":
+    if args.dual_witness:
         cert = lpmod.extract_dual_witness(sol, problem)
         write_json(args.dual_witness, witness.trig_to_json_obj(cert))
         payload["dual_witness_file"] = args.dual_witness
     _emit(args, payload)
-    return EXIT_OK if sol.status == "optimal" else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_pseudo_check(args) -> int:

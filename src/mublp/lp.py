@@ -22,12 +22,17 @@ of the coordinates) is available behind a flag; it also fixes |1 + sum e()|
 and maps the grid to itself.
 
 The solver is a constraint-generation loop: solve the restricted LP with the
-bounded revised simplex, scan *all* cube characters via an FFT of the weight
-array, add the most-violated deduplicated characters, repeat.  Candidates
-are canonicalised and deduplicated as arrays (``canonical_char_codes``);
-only the characters actually tried become tuples.  Convergence requires a
-clean full scan, so the returned primal is feasible for the whole cube,
-never just for the generated rows.  Weights carry the a-priori box
+bounded revised simplex, scan the transform at *every* character, add the
+most-violated deduplicated characters, repeat.  With symmetry, f is
+invariant under coordinate permutations and so is fhat, so the scan only
+needs the C(m+d-2, d-1) sorted characters: ``multiset_fft`` transforms one
+axis at a time over coordinate multisets and never forms the m^(d-1) cube.
+Without symmetry the scan is one FFT of the weight cube, which keeps the raw
+LP an independent check of the reduction.  Candidates are canonicalised and
+deduplicated as arrays (``canonical_char_codes``); only the characters
+actually tried become tuples.  Convergence requires a clean full scan, so
+the returned primal is feasible for every character, never just for the
+generated rows.  Weights carry the a-priori box
 w <= 2: any fully feasible f has f(y) <= f(0) = 1 pointwise (nonnegative
 transform), so the box is slack at convergence and never enters the dual.
 
@@ -71,6 +76,8 @@ from .torus import (
     _decode_digits,
     classify,
     exact_grid_codes,
+    multiset_rank_tables,
+    multiset_ranks,
 )
 from .witness import TrigPolynomial, delsarte_bound
 
@@ -305,6 +312,13 @@ class LpProblem:
     member_matrix: np.ndarray = field(init=False)   # stacked members
     member_orbit: np.ndarray = field(init=False)    # orbit id per member
     member_linear: np.ndarray = field(init=False)   # linear grid index per member
+    _cos_table: np.ndarray = field(init=False, repr=False)
+    # symmetric problems: the multiset rank tables, the orbit id of each
+    # coordinate multiset (n_orbits: no support), and the linear code of each
+    # sorted character, by multiset rank
+    _multiset_tables: list | None = field(default=None, init=False, repr=False)
+    _multiset_orbit: np.ndarray | None = field(default=None, init=False, repr=False)
+    _sorted_codes: np.ndarray | None = field(default=None, init=False, repr=False)
     _char_reps: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -318,8 +332,18 @@ class LpProblem:
             np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), np.int64)
         )
         self.member_orbit = np.array(ids, dtype=np.int64)
-        weights = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.member_linear = self.member_matrix @ weights
+        place = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.member_linear = self.member_matrix @ place
+        self._cos_table = np.cos(2.0 * np.pi * np.arange(self.m) / self.m)
+        if self.table.symmetric:
+            tables, rows = multiset_rank_tables(n, self.m)
+            self._multiset_tables = tables
+            ranks = multiset_ranks(self.member_matrix, tables)
+            self._multiset_orbit = np.full(len(rows), self.n_orbits, dtype=np.int64)
+            self._multiset_orbit[ranks] = self.member_orbit
+            if np.any(self._multiset_orbit[ranks] != self.member_orbit):
+                raise AssertionError("an orbit is not closed under permutations")
+            self._sorted_codes = rows @ place
 
     @property
     def n_orbits(self) -> int:
@@ -332,9 +356,8 @@ class LpProblem:
     def constraint_row(self, gamma) -> np.ndarray:
         """C_o(gamma) for every orbit, one pass over all support points."""
         dots = (self.member_matrix @ np.asarray(gamma, dtype=np.int64)) % self.m
-        cos_table = np.cos(2.0 * np.pi * np.arange(self.m) / self.m)
         return np.bincount(
-            self.member_orbit, weights=cos_table[dots], minlength=self.n_orbits
+            self.member_orbit, weights=self._cos_table[dots], minlength=self.n_orbits
         )
 
     def char_codes(self, indices: np.ndarray) -> np.ndarray:
@@ -348,13 +371,26 @@ class LpProblem:
         digits = _decode_digits(indices, self.m, self.d - 1)
         return canonical_char_codes(digits, self.m, self.table.use_shift)
 
+    def scan_codes(self, positions: np.ndarray) -> np.ndarray:
+        """Linear cube index of the character at each position of a scan."""
+        if not self.table.symmetric:
+            return positions
+        return self._sorted_codes[positions]
+
     def char_representatives(self) -> list:
-        """Deduplicated characters of the cube (cached; excludes gamma = 0)."""
+        """Deduplicated characters of the cube (cached; excludes gamma = 0).
+
+        With symmetry every class has a sorted member, so only the sorted
+        characters are coded.
+        """
         if self._char_reps is None:
-            total = self.m ** (self.d - 1)
+            if self.table.symmetric:
+                chars = self._sorted_codes
+            else:
+                chars = np.arange(self.m ** (self.d - 1))
             codes = np.unique(np.concatenate([
-                np.unique(self.char_codes(np.arange(lo, min(lo + _CHUNK, total))))
-                for lo in range(0, total, _CHUNK)
+                np.unique(self.char_codes(chars[lo : lo + _CHUNK]))
+                for lo in range(0, chars.size, _CHUNK)
             ]))
             # only gamma = 0 codes to 0: no image of a nonzero character is zero
             digits = _decode_digits(codes[codes != 0], self.m, self.d - 1)
@@ -389,28 +425,62 @@ class LpSolution:
     duality_gap: float
 
 
+def multiset_fft(values: np.ndarray, tables) -> np.ndarray:
+    """DFT of a permutation-invariant function on Z_m^n, at sorted characters.
+
+    ``tables`` are ``multiset_rank_tables(n, m)``'s rank tables, and
+    ``values[r]`` is the function on the size-n coordinate multiset of rank r.  Entry r of the result is
+    sum_y f(y) exp(-2 pi i <gamma, y> / m), as ``np.fft.fftn`` gives it, at
+    the sorted character gamma of rank r.
+
+    One axis is transformed at a time.  After k axes the partial transform is
+    symmetric in its k frequencies and in its n - k untransformed coordinates,
+    so it is stored as T[frequency multiset G, coordinate multiset Y].  Stage
+    k gathers T[G, Y' + y] for y = 0..m-1 through the rank tables, transforms
+    along y, and reads each sorted frequency multiset of size k + 1 at its
+    prefix G and its last entry g >= max(G).  No m**n array is formed.
+    """
+    n = len(tables)
+    T = np.asarray(values, dtype=complex)[None, :]
+    last = np.zeros(1, dtype=np.int64)      # largest entry of each G
+    for k, grow in enumerate(tables):
+        spectrum = np.fft.fft(T[:, tables[n - k - 1].T], axis=2)   # [G, Y', g]
+        g, prefix = np.nonzero(np.arange(len(grow))[:, None] >= last)
+        grown = grow[g, prefix]             # rank of the size-(k+1) multiset
+        T = np.empty((grown.size, spectrum.shape[1]), dtype=complex)
+        T[grown] = spectrum[prefix, :, g]
+        last = np.empty(grown.size, dtype=np.int64)
+        last[grown] = g
+    return T[:, 0]
+
+
 def _transform_scan(problem: LpProblem, weights: np.ndarray) -> np.ndarray:
-    """fhat over the whole cube as a flat real array (FFT of the weights)."""
+    """fhat as a flat real array: by multiset rank of the sorted characters
+    for a symmetric problem, over the whole cube (FFT of the weights) else."""
+    if problem.table.symmetric:
+        values = np.append(np.asarray(weights, dtype=float), 0.0)
+        values = values[problem._multiset_orbit]
+        values[0] = 1.0                     # f(0); the zero multiset has rank 0
+        return multiset_fft(values, problem._multiset_tables).real
     w = problem.weight_grid(weights)
     return np.fft.fftn(w).real.ravel()
 
 
-def _first_keys(problem: LpProblem, order: np.ndarray):
-    """Yield (key code, index) for each deduplicated character of ``order``.
+def _first_keys(problem: LpProblem, chars: np.ndarray):
+    """Yield (key code, position) for each deduplicated character of ``chars``.
 
-    Keys come at their first occurrence in ``order``.  Candidates are coded
-    one chunk at a time, so a round that stops after a few keys never codes
-    the long tail of a large violated set.
+    ``chars`` holds linear cube indices; keys come at their first occurrence.
+    Candidates are coded one chunk at a time, so a round that stops after a
+    few keys never codes the long tail of a large violated set.
     """
     seen: set = set()
-    for lo in range(0, order.size, _CHUNK):
-        chunk = order[lo : lo + _CHUNK]
-        codes = problem.char_codes(chunk)
+    for lo in range(0, chars.size, _CHUNK):
+        codes = problem.char_codes(chars[lo : lo + _CHUNK])
         for pos in np.sort(np.unique(codes, return_index=True)[1]).tolist():
             code = int(codes[pos])
             if code not in seen:
                 seen.add(code)
-                yield code, int(chunk[pos])
+                yield code, lo + pos
 
 
 def solve_lp(
@@ -524,14 +594,16 @@ def solve_lp(
         violated = np.flatnonzero(scan < -eps_feas)
         if violated.size == 0:
             break
-        order = violated[np.lexsort((violated, scan[violated]))]
+        chars = problem.scan_codes(violated)
+        order = np.lexsort((chars, scan[violated]))
+        chars, values = chars[order], scan[violated[order]]
         added = 0
-        for code, lin in _first_keys(problem, order):
+        for code, pos in _first_keys(problem, chars):
             key = tuple(_decode_digits(np.array([code]), m, n)[0].tolist())
             if code in rep_codes:
                 raise AssertionError(
                     f"generated constraint {key} violated after optimisation "
-                    f"({scan[lin]:.3e}); row arithmetic is inconsistent"
+                    f"({values[pos]:.3e}); row arithmetic is inconsistent"
                 )
             row = problem.constraint_row(key)
             # distinct characters can induce identical rows (grid automorphisms

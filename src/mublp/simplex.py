@@ -134,26 +134,19 @@ def solve_equality_form(
         step = sigma * u
         flip_t = upper[entering] - lower[entering]
 
-        # Harris pass one: tightest step with relaxed bounds
-        t_limit = flip_t
-        candidates = []  # (row, t_exact, hits_upper, |pivot|)
-        for i in range(rows):
-            si = step[i]
-            bi = basis[i]
-            if si > eps_pivot:
-                t_relaxed = (x[bi] - lower[bi] + _BOUND_RELAX) / si
-                t_exact = max((x[bi] - lower[bi]) / si, 0.0)
-                hits_upper = False
-            elif si < -eps_pivot:
-                if np.isinf(upper[bi]):
-                    continue
-                t_relaxed = (upper[bi] - x[bi] + _BOUND_RELAX) / (-si)
-                t_exact = max((upper[bi] - x[bi]) / (-si), 0.0)
-                hits_upper = True
-            else:
-                continue
-            t_limit = min(t_limit, t_relaxed)
-            candidates.append((i, t_exact, hits_upper, abs(si)))
+        # Harris pass one: tightest step with relaxed bounds, over all rows
+        xb, lb, ub = x[basis], lower[basis], upper[basis]
+        to_lower = step > eps_pivot
+        to_upper = (step < -eps_pivot) & ~np.isinf(ub)
+        blocking = to_lower | to_upper
+        gap = np.where(to_lower, xb - lb, ub - xb)
+        size = np.abs(step)
+        t_relaxed = np.divide(gap + _BOUND_RELAX, size,
+                              out=np.full(rows, np.inf), where=blocking)
+        t_exact = np.maximum(
+            np.divide(gap, size, out=np.full(rows, np.inf), where=blocking), 0.0
+        )
+        t_limit = min(flip_t, float(t_relaxed.min(initial=np.inf)))
         if np.isinf(t_limit):
             if pivots_since_refactor > 0:
                 # rule out basis-inverse drift before declaring unboundedness
@@ -162,14 +155,14 @@ def solve_equality_form(
                 continue
             return result(UNBOUNDED, y)
 
-        # Harris pass two: among admissible rows take the largest pivot
+        # Harris pass two: among admissible rows, in row order, take the
+        # largest pivot (ties to the lowest basis index; Bland: lowest index)
         leave_row = -1
         leave_to_upper = False
         best_pivot = 0.0
         t_best = flip_t
-        for i, t_exact, hits_upper, pivot_mag in candidates:
-            if t_exact > t_limit:
-                continue
+        for i in np.flatnonzero(blocking & (t_exact <= t_limit)).tolist():
+            pivot_mag = size[i]
             better = (
                 pivot_mag > best_pivot + 1e-12
                 if not bland
@@ -179,9 +172,9 @@ def solve_equality_form(
                 and basis[i] < basis[leave_row]
             if leave_row < 0 or better or (not bland and tie):
                 leave_row = i
-                leave_to_upper = hits_upper
+                leave_to_upper = bool(to_upper[i])
                 best_pivot = pivot_mag
-                t_best = t_exact
+                t_best = float(t_exact[i])
         if leave_row < 0 or flip_t < t_best:
             # bound flip, no basis change
             if np.isinf(flip_t):
@@ -214,5 +207,6 @@ def solve_equality_form(
         else:
             # product-form update of the basis inverse
             binv[leave_row, :] /= pivot
-            others = np.arange(rows) != leave_row
-            binv[others, :] -= np.outer(u[others], binv[leave_row, :])
+            pivot_row = binv[leave_row, :].copy()
+            binv -= np.outer(u, pivot_row)
+            binv[leave_row, :] = pivot_row

@@ -269,20 +269,18 @@ def _codes_from_digit_rows(digits: np.ndarray, d: int, m: int) -> np.ndarray:
     return codes
 
 
-def _multiset_rank_tables(d: int, m: int):
-    """Rank tables of coordinate multisets, and the exact code of each one.
+def multiset_rank_tables(n: int, m: int):
+    """Rank tables of coordinate multisets of size up to n, and the size-n rows.
 
     Multisets of size k are ranked in lexicographic order of their sorted
     rows (``combinations_with_replacement`` order).  ``tables[k-1][a, r]`` is
     the rank of "the size-(k-1) multiset of rank r, plus a"; every size-k
-    multiset arises this way.  The root sum 1 + sum zeta^(a_j) only depends
-    on the coordinate multiset, so the codes, indexed by the rank of a
-    size-(d-1) multiset, hold the C(m+d-2, d-1) exact classifications of the
-    m**(d-1) grid points.
+    multiset arises this way.  The second value holds the sorted rows of the
+    C(m+n-1, n) size-n multisets by rank.
     """
     rows = np.zeros((1, 0), dtype=np.int64)     # the one empty multiset
     tables = []
-    for k in range(1, d):
+    for k in range(1, n + 1):
         grown = np.concatenate(
             [np.repeat(np.arange(m), len(rows))[:, None], np.tile(rows, (m, 1))],
             axis=1,
@@ -295,7 +293,15 @@ def _multiset_rank_tables(d: int, m: int):
         )
         rows = grown[first]
         tables.append(ranks.reshape(m, -1))
-    return tables, _codes_from_digit_rows(rows, d, m)
+    return tables, rows
+
+
+def multiset_ranks(digits: np.ndarray, tables) -> np.ndarray:
+    """Multiset rank of each row of ``digits``: a fold over its coordinates."""
+    ranks = np.zeros(len(digits), dtype=np.int64)
+    for j, table in enumerate(tables[: digits.shape[1]]):
+        ranks = table[digits[:, j], ranks]
+    return ranks
 
 
 def exact_grid_codes(
@@ -318,7 +324,9 @@ def exact_grid_codes(
             f"their {multisets} x {m} count matrices ({multisets * m} cells) "
             f"exceed enumeration budget {budget}"
         )
-    tables, ms_codes = _multiset_rank_tables(d, m)
+    tables, rows = multiset_rank_tables(d - 1, m)
+    # the root sum 1 + sum zeta^(a_j) only depends on the coordinate multiset
+    ms_codes = _codes_from_digit_rows(rows, d, m)
     # multiset ranks of the last d-2 coordinates of every point, in C order
     ranks = np.zeros(1, dtype=np.int64)
     for table in tables[:-1]:

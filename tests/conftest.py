@@ -9,17 +9,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
-def run_cli(tmp_path):
-    """Run the CLI in a subprocess, returning (exit_code, stdout, stderr).
+def cli_env():
+    """Environment for a CLI subprocess that runs outside the checkout.
 
-    The child runs in ``tmp_path``, where a relative ``PYTHONPATH=src`` would
-    not resolve, so the checkout's absolute ``src`` goes first on its
-    PYTHONPATH; that also wins over any ``mublp`` installed in site-packages.
+    A relative ``PYTHONPATH=src`` would not resolve there, so the checkout's
+    absolute ``src`` goes first on the child's PYTHONPATH; that also wins
+    over any ``mublp`` installed in site-packages.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.fixture
+def run_cli(tmp_path, cli_env):
+    """Run the CLI in a subprocess in ``tmp_path``: (exit_code, stdout, stderr)."""
 
     def _run(*argv, cwd=None):
         proc = subprocess.run(
@@ -27,7 +33,7 @@ def run_cli(tmp_path):
             capture_output=True,
             text=True,
             cwd=cwd or tmp_path,
-            env=env,
+            env=cli_env,
         )
         return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,5 +1,12 @@
 import json
 import math
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
 
 from mublp import cli
 from mublp import lp as lpmod
@@ -189,3 +196,52 @@ def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "error: certified bound 1 differs from M=9\n"
     assert not (tmp_path / "dw.json").exists()
+
+
+@pytest.mark.parametrize("status,M", [("unbounded", math.inf),
+                                      ("budget_exceeded", math.nan)])
+def test_non_optimal_lp_exits_check_failed(tmp_path, capsys, monkeypatch,
+                                           status, M):
+    def stop(problem, **kwargs):
+        return lpmod.LpSolution(
+            status=status, M=M, weights=np.zeros(problem.n_orbits), dual={},
+            iterations=8576, rounds=3, active_constraints=340,
+            final_scan_min=math.nan, duality_gap=math.nan,
+        )
+
+    monkeypatch.setattr(lpmod, "solve_lp", stop)
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == f"error: LP ended with status {status} after 3 rounds (340 rows)\n"
+    assert not (tmp_path / "dw.json").exists()
+
+
+def test_killed_lp_resumes_from_its_checkpoint(run_cli, cli_env, tmp_path):
+    ck = tmp_path / "ck"
+    constraints = ck / "constraints.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mublp", "lp", "--d", "6", "--m", "16",
+         "--checkpoint-dir", str(ck)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=cli_env,
+        cwd=tmp_path,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not constraints.exists() and child.poll() is None:
+            assert time.monotonic() < deadline, "no checkpoint within 120 s"
+            time.sleep(0.002)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.wait()
+    assert child.returncode == -signal.SIGKILL     # killed mid-run
+    # the checkpoint is replaced atomically, so a kill never leaves it torn
+    payload = json.loads(constraints.read_text())
+    assert payload["d"] == 6 and payload["m"] == 16 and payload["constraints"]
+    code, out, err = run_cli("lp", "--d", 6, "--m", 16, "--checkpoint-dir", ck)
+    assert code == 0, err
+    assert "resumed from checkpoint" in err
+    fresh = lpmod.solve_lp(lpmod.build_pseudo_mub_lp(6, 16, lpmod.build_orbits(6, 16)))
+    assert abs(json.loads(out)["M"] - fresh.M) < 1e-9

@@ -1,12 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
 from mublp.lp import (
+    LpProblem,
+    _transform_scan,
     build_orbits,
     build_pseudo_mub_lp,
     canonical_char,
@@ -212,6 +217,39 @@ def test_build_orbits_rejects_orbit_with_mixed_classes(monkeypatch):
         build_orbits(3, 3)
 
 
+SCAN_GRIDS = [
+    (d, m) for d in range(2, 8) for m in range(2, 13) if m ** (d - 1) <= 250_000
+]
+
+
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_multiset_scan_matches_cube_fft(use_shift):
+    rng = np.random.default_rng(5)
+    for d, m in SCAN_GRIDS:
+        prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+        weights = rng.uniform(0.0, 2.0, size=prob.n_orbits)
+        cube = np.fft.fftn(prob.weight_grid(weights)).real.ravel()
+        sorted_chars = prob.scan_codes(np.arange(math.comb(m + d - 2, d - 1)))
+        assert np.all(np.diff(sorted_chars) > 0)        # lexicographic order
+        scan = _transform_scan(prob, weights)
+        assert scan.shape == sorted_chars.shape
+        tol = 1e-12 * np.abs(cube).max()
+        assert np.abs(scan - cube[sorted_chars]).max() <= tol, (d, m)
+
+
+@pytest.mark.parametrize("d,m", [(4, 6), (5, 12), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_symmetric_solve_never_builds_the_cube(monkeypatch, d, m, use_shift):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube-sized transform in a symmetric solve")
+
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    monkeypatch.setattr(LpProblem, "weight_grid", refuse)
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    sol = solve_lp(prob, add_per_round=4)
+    assert sol.status == "optimal" and sol.final_scan_min >= -1e-7
+
+
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_char_representatives_match_canonical_char_loop(d, m, use_shift):
@@ -272,6 +310,33 @@ def test_warm_started_lp_matches_scipy_oracle_sweep(d, m, use_shift):
     assert sol.status == "optimal"
     assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
     assert sol.final_scan_min >= -1e-7
+
+
+@st.composite
+def oracle_cases(draw):
+    d = draw(st.integers(2, 7))
+    # m <= 64 also for d = 2: the exact classifier costs O(m^3) there
+    m = draw(st.integers(2, max(m for m in range(2, 65) if m ** (d - 1) <= 4096)))
+    mode = draw(st.sampled_from(["symmetric", "shift", "raw"]))
+    return d, m, mode, draw(st.sampled_from([1, 2, 64]))
+
+
+# the raw (5, 8) master ends "unbounded" from simplex drift (ROADMAP item
+# 6); the CLI turns that into exit 1, which test_cli covers
+ORACLE_CASES = oracle_cases().filter(lambda case: case[:3] != (5, 8, "raw"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ORACLE_CASES)
+def test_solve_lp_matches_highs_on_random_grids(case):
+    d, m, mode, add_per_round = case
+    table = build_orbits(d, m, use_shift_symmetry=mode == "shift",
+                         symmetric=mode != "raw")
+    sol = solve_lp(build_pseudo_mub_lp(d, m, table), add_per_round=add_per_round)
+    assert sol.status == "optimal"
+    assert sol.final_scan_min >= -1e-7
+    assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
 
 
 def test_lp_d6m4_support_is_ort_only():
