@@ -411,6 +411,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    # an internal consistency check failed: the run's result cannot be trusted
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -135,13 +135,6 @@ class CycloInt:
         return not any(self.coeffs)
 
 
-def cyclo_integer(m: int, n: int) -> CycloInt:
-    """The ordinary integer n viewed in Z[zeta_m]."""
-    coeffs = [0] * euler_phi(m)
-    coeffs[0] = int(n)
-    return CycloInt(m, tuple(coeffs))
-
-
 def cyclo_from_exponent(m: int, a: int) -> CycloInt:
     """zeta_m**a, reduced (a is taken mod m)."""
     return CycloInt(m, _zeta_power_rows(m)[a % m])

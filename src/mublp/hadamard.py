@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_EPS
-from .serialize import format_float
 from .torus import (
     _CLASS_BY_CODE,
     CODE_FORBIDDEN,
@@ -277,29 +276,6 @@ def matrix_from_json_obj(obj) -> np.ndarray:
     if len(flat) != d * d:
         raise ValueError(f"expected {d * d} entries, got {len(flat)}")
     return np.array(flat, dtype=complex).reshape(d, d)
-
-
-def matrix_to_csv(matrix) -> str:
-    """Interleaved re,im per row, 17 significant digits."""
-    m = np.asarray(matrix, dtype=complex)
-    lines = []
-    for row in m:
-        cells = []
-        for z in row:
-            cells.append(format_float(z.real))
-            cells.append(format_float(z.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
-    for line in text.strip().splitlines():
-        cells = [float(c) for c in line.split(",")]
-        if len(cells) % 2:
-            raise ValueError("expected an even number of cells per row")
-        rows.append([complex(cells[i], cells[i + 1]) for i in range(0, len(cells), 2)])
-    return np.array(rows, dtype=complex)
 
 
 def family_to_json_obj(family: MubFamily) -> dict:

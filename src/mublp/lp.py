@@ -19,7 +19,12 @@ the group without changing feasibility or mass.  Variables are therefore
 orbit weights, and constraints are deduplicated by the induced action on
 characters.  An optional phase-shift symmetry (re-basing the d phases at one
 of the coordinates) is available behind a flag; it also fixes |1 + sum e()|
-and maps the grid to itself.
+and maps the grid to itself.  One image generator, ``_images``, serves
+points and characters alike: it acts on the extended row of d entries,
+(0, y) for a point and the zero-sum (-sum(gamma), gamma) for a character,
+and ``canonical_codes`` takes the least sorted image over it and negation.
+Orbits are arrays: ``OrbitTable`` holds the members of all orbits in one
+(N, d-1) matrix, grouped by orbit, which the LP uses as it is.
 
 The solver is a constraint-generation loop: solve the restricted LP with the
 bounded revised simplex, scan the transform at *every* character, add the
@@ -29,7 +34,7 @@ needs the C(m+d-2, d-1) sorted characters: ``multiset_fft`` transforms one
 axis at a time over coordinate multisets and never forms the m^(d-1) cube.
 Without symmetry the scan is one FFT of the weight cube, which keeps the raw
 LP an independent check of the reduction.  Candidates are canonicalised and
-deduplicated as arrays (``canonical_char_codes``); only the characters
+deduplicated as arrays (``canonical_codes``); only the characters
 actually tried become tuples.  Convergence requires a clean full scan, so
 the returned primal is feasible for every character, never just for the
 generated rows.  Weights carry the a-priori box
@@ -53,7 +58,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,35 +117,42 @@ def canonical_point(vec: tuple[int, ...], m: int, use_shift: bool = False):
     return min(_point_images(vec, m, use_shift))
 
 
-def _least_image_code(images: list, m: int) -> np.ndarray:
-    """Least base-m code of the sorted rows of ``images`` and their negations.
+def _images(digits: np.ndarray, m: int, use_shift: bool, dual: bool) -> list:
+    """The rows of ``digits`` under the group maps besides negation and
+    permutation: the rows alone without shift.  With shift each row is
+    extended to d entries, (0, y) for a point and the zero-sum
+    (-sum(gamma), gamma) for a character (``dual``); image t re-bases a point
+    at entry t, or drops entry t of a character, and t = 0 is the row itself.
+    """
+    if not use_shift:
+        return [digits]
+    if dual:
+        full = np.hstack([(-digits.sum(axis=1, keepdims=True)) % m, digits])
+        return [np.delete(full, t, axis=1) for t in range(full.shape[1])]
+    full = np.hstack([np.zeros((len(digits), 1), dtype=digits.dtype), digits])
+    return [
+        np.delete((full - full[:, t : t + 1]) % m, t, axis=1)
+        for t in range(full.shape[1])
+    ]
+
+
+def canonical_codes(
+    digits: np.ndarray, m: int, use_shift: bool = False, dual: bool = False
+) -> np.ndarray:
+    """``canonical_point`` (``canonical_char`` if ``dual``) of every row of
+    ``digits``, as base-m codes.
 
     A sorted image is coded as its big-endian base-m number, which orders
-    like the tuple, so the least code is the code of the least sorted image;
-    ``_decode_digits`` turns it back into the tuple.
+    like the tuple, so the least code over the images and their negations is
+    the code of the least sorted image; ``_decode_digits`` turns it back.
     """
-    place = m ** np.arange(images[0].shape[1] - 1, -1, -1, dtype=np.int64)
+    place = m ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
     codes = [
         np.sort(img, axis=1) @ place
-        for base in images
+        for base in _images(digits, m, use_shift, dual)
         for img in (base, (-base) % m)
     ]
     return np.min(codes, axis=0)
-
-
-def canonical_point_codes(
-    digits: np.ndarray, m: int, use_shift: bool = False
-) -> np.ndarray:
-    """``canonical_point`` of every row of ``digits``, as base-m codes."""
-    images = [digits]
-    if use_shift:
-        # the images _point_images builds by re-basing at coordinate t
-        full = np.hstack([np.zeros((len(digits), 1), dtype=digits.dtype), digits])
-        images += [
-            np.delete((full - full[:, t : t + 1]) % m, t, axis=1)
-            for t in range(1, digits.shape[1] + 1)
-        ]
-    return _least_image_code(images, m)
 
 
 def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
@@ -159,18 +171,6 @@ def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
 
 def canonical_char(gamma: tuple[int, ...], m: int, use_shift: bool = False):
     return min(_char_images(gamma, m, use_shift))
-
-
-def canonical_char_codes(
-    digits: np.ndarray, m: int, use_shift: bool = False
-) -> np.ndarray:
-    """``canonical_char`` of every row of ``digits``, as base-m codes."""
-    images = [digits]
-    if use_shift:
-        # the images _char_images builds from the zero-sum extension
-        full = np.hstack([(-digits.sum(axis=1, keepdims=True)) % m, digits])
-        images += [np.delete(full, t, axis=1) for t in range(1, digits.shape[1] + 1)]
-    return _least_image_code(images, m)
 
 
 def _multiset_permutations(rows: np.ndarray) -> np.ndarray:
@@ -207,11 +207,9 @@ def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
     extension minus one entry, and of its negation.
     """
     g = np.asarray(gamma, dtype=np.int64).reshape(1, -1) % m
-    if use_shift:
-        full = np.hstack([(-g.sum(axis=1, keepdims=True)) % m, g])
-        g = np.vstack([np.delete(full, t, axis=1) for t in range(full.shape[1])])
-    base = np.vstack([g, (-g) % m])
-    return set(map(tuple, _multiset_permutations(base).tolist()))
+    base = np.vstack(_images(g, m, use_shift, dual=True))
+    rows = _multiset_permutations(np.vstack([base, (-base) % m]))
+    return set(map(tuple, rows.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
 @dataclass(frozen=True)
 class Orbit:
     representative: tuple[int, ...]
-    members: tuple
+    members: np.ndarray         # (size, d-1) view into OrbitTable.members
     point_class: PointClass
 
 
@@ -231,7 +229,10 @@ class OrbitTable:
     m: int
     symmetric: bool            # False: every point is its own orbit
     use_shift: bool
-    orbits: list
+    representatives: np.ndarray     # (k, d-1) lexicographic minima, ascending
+    classes: np.ndarray             # uint8 class code per orbit
+    members: np.ndarray             # (N, d-1) grouped by orbit, each ascending
+    member_orbit: np.ndarray        # orbit id per member, nondecreasing
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -242,10 +243,30 @@ class OrbitTable:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(o.members) for o in self.orbits], dtype=float)
+        counts = np.bincount(self.member_orbit, minlength=len(self.representatives))
+        return counts.astype(float)
 
     def total_points(self) -> int:
-        return int(sum(len(o.members) for o in self.orbits))
+        return len(self.members)
+
+    def __eq__(self, other) -> bool:
+        # field by field, the arrays by value
+        return type(other) is OrbitTable and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    @property
+    def orbits(self) -> list:
+        """One ``Orbit`` record per orbit; the members are views, not copies."""
+        k = len(self.representatives)
+        bounds = np.searchsorted(self.member_orbit, np.arange(k + 1)).tolist()
+        return [
+            Orbit(representative=tuple(rep), members=self.members[lo:hi],
+                  point_class=_CLASS_BY_CODE[code])
+            for rep, code, lo, hi in zip(self.representatives.tolist(),
+                                         self.classes.tolist(), bounds, bounds[1:])
+        ]
 
 
 def build_orbits(
@@ -266,30 +287,25 @@ def build_orbits(
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
     points = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
     point_codes = codes[points]
-    del codes                   # frees the cube before the member tuples are built
+    del codes                   # frees the cube before the members are decoded
     digits = _decode_digits(points, m, d - 1)
-    keys = canonical_point_codes(digits, m, use_shift_symmetry) if symmetric else points
+    keys = canonical_codes(digits, m, use_shift_symmetry) if symmetric else points
     reps, orbit_of = np.unique(keys, return_inverse=True)
     orbit_codes = np.empty(reps.size, dtype=np.uint8)
     orbit_codes[orbit_of] = point_codes         # the class of some member
-    reps = list(map(tuple, _decode_digits(reps, m, d - 1).tolist()))
+    reps = _decode_digits(reps, m, d - 1)
     mixed = np.flatnonzero(orbit_codes[orbit_of] != point_codes)
     if mixed.size:
         i, j = orbit_of[mixed[0]], mixed[0]
         raise AssertionError(
-            f"orbit {reps[i]} mixes classes {_CLASS_BY_CODE[orbit_codes[i]]}"
-            f" and {_CLASS_BY_CODE[point_codes[j]]}"
+            f"orbit {tuple(reps[i].tolist())} mixes classes "
+            f"{_CLASS_BY_CODE[orbit_codes[i]]} and {_CLASS_BY_CODE[point_codes[j]]}"
         )
     # a stable sort keeps each orbit's members in ascending (lexicographic) order
-    members = list(zip(*digits[np.argsort(orbit_of, kind="stable")].T.tolist()))
-    bounds = np.cumsum([0, *np.bincount(orbit_of)]).tolist()
-    orbits = [
-        Orbit(representative=rep, members=tuple(members[lo:hi]),
-              point_class=_CLASS_BY_CODE[code])
-        for rep, code, lo, hi in zip(reps, orbit_codes.tolist(), bounds, bounds[1:])
-    ]
-    return OrbitTable(d=d, m=m, symmetric=symmetric,
-                      use_shift=use_shift_symmetry, orbits=orbits)
+    order = np.argsort(orbit_of, kind="stable")
+    return OrbitTable(d=d, m=m, symmetric=symmetric, use_shift=use_shift_symmetry,
+                      representatives=reps, classes=orbit_codes,
+                      members=digits[order], member_orbit=orbit_of[order])
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +338,9 @@ class LpProblem:
     _char_reps: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        rows = []
-        ids = []
-        for i, orbit in enumerate(self.table.orbits):
-            rows.extend(orbit.members)
-            ids.extend([i] * len(orbit.members))
         n = self.d - 1
-        self.member_matrix = (
-            np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), np.int64)
-        )
-        self.member_orbit = np.array(ids, dtype=np.int64)
+        self.member_matrix = self.table.members
+        self.member_orbit = self.table.member_orbit
         place = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.member_linear = self.member_matrix @ place
         self._cos_table = np.cos(2.0 * np.pi * np.arange(self.m) / self.m)
@@ -347,7 +356,7 @@ class LpProblem:
 
     @property
     def n_orbits(self) -> int:
-        return len(self.table.orbits)
+        return len(self.table.representatives)
 
     @property
     def objective(self) -> np.ndarray:
@@ -369,7 +378,7 @@ class LpProblem:
         if not self.table.symmetric:
             return indices
         digits = _decode_digits(indices, self.m, self.d - 1)
-        return canonical_char_codes(digits, self.m, self.table.use_shift)
+        return canonical_codes(digits, self.m, self.table.use_shift, dual=True)
 
     def scan_codes(self, positions: np.ndarray) -> np.ndarray:
         """Linear cube index of the character at each position of a scan."""
@@ -488,7 +497,6 @@ def solve_lp(
     eps_feas: float = DEFAULT_EPS_FEAS,
     max_rounds: int = DEFAULT_LP_MAX_ROUNDS,
     add_per_round: int = DEFAULT_LP_ADD_PER_ROUND,
-    max_simplex_iterations: int | None = None,
     checkpoint_dir: str | None = None,
     progress=None,
 ) -> LpSolution:
@@ -552,7 +560,6 @@ def solve_lp(
             result = solve_equality_form(
                 G, c, cd, np.zeros(r + 2 * n_orb),
                 np.full(r + 2 * n_orb, np.inf), basis,
-                max_iterations=max_simplex_iterations,
             )
             total_iterations += result.iterations
             if result.status == ITERATION_LIMIT:

@@ -198,6 +198,20 @@ def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "dw.json").exists()
 
 
+def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch):
+    codes = lpmod.exact_grid_codes(3, 3)
+    codes[2 * 3 + 1] = lpmod.CODE_UB      # (2, 1) is ORT, like (1, 2) in its orbit
+    monkeypatch.setattr(lpmod, "exact_grid_codes", lambda *a, **k: codes)
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == ("error: internal: orbit (1, 2) mixes classes "
+                   "PointClass.UB and PointClass.ORT\n")
+    assert not (tmp_path / "dw.json").exists()
+
+
 @pytest.mark.parametrize("status,M", [("unbounded", math.inf),
                                       ("budget_exceeded", math.nan)])
 def test_non_optimal_lp_exits_check_failed(tmp_path, capsys, monkeypatch,

@@ -12,7 +12,6 @@ from mublp.cyclo import (
     cyclo_equals_integer,
     cyclo_from_counts,
     cyclo_from_exponent,
-    cyclo_integer,
     cyclo_mul,
     cyclotomic_polynomial,
     euler_phi,
@@ -114,12 +113,6 @@ def test_norm_matches_float_embedding():
         target = abs(1 + sum(cmath.exp(2j * cmath.pi * e / m) for e in exps)) ** 2
         assert abs(embedded.imag) < 1e-12 * max(1.0, target)
         assert abs(embedded.real - target) < 1e-12 * max(1.0, target)
-
-
-def test_integer_constructor_roundtrip():
-    x = cyclo_integer(12, -7)
-    assert cyclo_equals_integer(x, -7)
-    assert not cyclo_equals_integer(x, 7)
 
 
 def test_exact_division_rejects_inexact():

@@ -19,9 +19,7 @@ from mublp.hadamard import (
     family_to_points,
     is_hadamard,
     is_unbiased_pair,
-    matrix_from_csv,
     matrix_from_json_obj,
-    matrix_to_csv,
     matrix_to_json_obj,
     row_quotient_check,
     verify_family,
@@ -259,12 +257,6 @@ def test_matrix_json_roundtrip_bit_exact():
     back = matrix_from_json_obj(json.loads(text))
     assert back.shape == mat.shape
     assert np.array_equal(back, mat)  # bit-exact at 17 significant digits
-
-
-def test_matrix_csv_roundtrip_bit_exact():
-    rng = np.random.default_rng(23)
-    mat = np.exp(2j * np.pi * rng.uniform(size=(4, 4)))
-    assert np.array_equal(matrix_from_csv(matrix_to_csv(mat)), mat)
 
 
 def test_family_json_roundtrip():

@@ -15,9 +15,8 @@ from mublp.lp import (
     build_orbits,
     build_pseudo_mub_lp,
     canonical_char,
-    canonical_char_codes,
+    canonical_codes,
     canonical_point,
-    canonical_point_codes,
     char_orbit,
     export_lp,
     extract_dual_witness,
@@ -77,7 +76,7 @@ def test_orbits_d3m3():
 def test_orbits_d2m2_single():
     table = build_orbits(2, 2)
     assert len(table.orbits) == 1
-    assert table.orbits[0].members == ((1,),)
+    assert table.orbits[0].members.tolist() == [[1]]
 
 
 def test_orbit_table_generators():
@@ -95,7 +94,7 @@ def test_orbit_sizes_partition_the_grid_classes():
         table = build_orbits(d, m)
         grid = enumerate_grid(d, m)
         assert table.total_points() == len(grid.ort) + len(grid.ub)
-        members = [y for o in table.orbits for y in o.members]
+        members = [y for o in table.orbits for y in map(tuple, o.members.tolist())]
         assert len(members) == len(set(members))
 
 
@@ -153,11 +152,15 @@ def _char_orbit_bfs(gamma, m, use_shift=False):
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_char_orbit_matches_bfs_reference(d, m, use_shift):
     prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    cube = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
+    cube_codes = canonical_codes(cube, m, use_shift, dual=True)
     covered = set()
     total = 0
     for rep in prob.char_representatives():
         orbit = char_orbit(rep, m, use_shift)
         assert orbit == _char_orbit_bfs(rep, m, use_shift), rep
+        rep_code = canonical_codes(np.array([rep]), m, use_shift, dual=True)[0]
+        assert orbit == set(map(tuple, cube[cube_codes == rep_code].tolist())), rep
         assert char_orbit(tuple(g - m for g in rep), m, use_shift) == orbit
         assert not orbit & covered, rep
         covered |= orbit
@@ -171,7 +174,7 @@ def test_char_orbit_matches_bfs_reference(d, m, use_shift):
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_canonical_char_codes_match_canonical_char(d, m, use_shift):
     digits = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
-    codes = canonical_char_codes(digits, m, use_shift)
+    codes = canonical_codes(digits, m, use_shift, dual=True)
     decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
     assert decoded == [canonical_char(g, m, use_shift) for g in map(tuple, digits.tolist())]
 
@@ -180,7 +183,7 @@ def test_canonical_char_codes_match_canonical_char(d, m, use_shift):
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_canonical_point_codes_match_canonical_point(d, m, use_shift):
     digits = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
-    codes = canonical_point_codes(digits, m, use_shift)
+    codes = canonical_codes(digits, m, use_shift)
     decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
     assert decoded == [canonical_point(y, m, use_shift) for y in map(tuple, digits.tolist())]
 
@@ -205,8 +208,30 @@ def _orbits_reference(d, m, use_shift, symmetric):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_build_orbits_matches_dict_reference(d, m, use_shift, symmetric):
     table = build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
-    got = [(o.representative, o.members, {o.point_class}) for o in table.orbits]
+    got = [(o.representative, tuple(map(tuple, o.members.tolist())), {o.point_class})
+           for o in table.orbits]
     assert got == _orbits_reference(d, m, use_shift, symmetric)
+
+
+@pytest.mark.parametrize("d,m", [(3, 5), (4, 6), (6, 4), (6, 8)])
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_orbit_table_arrays(d, m, use_shift):
+    table = build_orbits(d, m, use_shift_symmetry=use_shift)
+    prob = build_pseudo_mub_lp(d, m, table)
+    assert np.all(np.diff(table.member_orbit) >= 0)
+    member_codes = canonical_codes(table.members, m, use_shift)
+    rep_codes = canonical_codes(table.representatives, m, use_shift)
+    assert np.array_equal(member_codes, rep_codes[table.member_orbit])
+    # the problem uses the table's arrays, not a restacked copy; (3, 5) has
+    # no ORT/UB point, and an empty array shares no memory
+    assert np.shares_memory(prob.member_matrix, table.members) or not table.total_points()
+    assert prob.member_orbit is table.member_orbit
+    orbits = table.orbits
+    assert table.sizes.tolist() == [float(len(o.members)) for o in orbits]
+    assert table.total_points() == sum(len(o.members) for o in orbits)
+    assert [o.representative for o in orbits] == list(map(tuple, table.representatives.tolist()))
+    assert build_orbits(d, m, use_shift_symmetry=use_shift) == table
+    assert build_orbits(d, m, use_shift_symmetry=not use_shift) != table
 
 
 def test_build_orbits_rejects_orbit_with_mixed_classes(monkeypatch):
@@ -392,7 +417,7 @@ def test_dual_witness_nonpositive_on_support():
     cert = extract_dual_witness(sol, prob)
     values = grid_values(cert)
     for orbit in prob.table.orbits:
-        for y in orbit.members:
+        for y in map(tuple, orbit.members.tolist()):
             assert values[y] <= 1e-9
 
 
@@ -556,7 +581,7 @@ def test_pseudo_mub_check_rejects_rescaled_suboptimal_lp():
     assert sol.M < 36
     terms = {(0,) * (d - 1): float(d * d)}
     for i, orbit in enumerate(prob.table.orbits):
-        for y in orbit.members:
+        for y in map(tuple, orbit.members.tolist()):
             terms[y] = float(d * d) * float(sol.weights[i])
     f = TrigPolynomial.from_terms(d - 1, terms, grid=m)
     report = pseudo_mub_check(f, d)
