@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import constructions as cons
 from . import hadamard as had
@@ -56,10 +56,6 @@ def _budget(args) -> int:
     if args.enum_budget is not None:
         return args.enum_budget
     return env_int("ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
-
-
-def _workers(args) -> int | None:
-    return args.workers
 
 
 def _load_family(path) -> had.MubFamily:
@@ -134,7 +130,7 @@ def cmd_verify(args) -> int:
 def cmd_grid(args) -> int:
     d, m = args.d, args.m
     if args.format == "json":
-        part = torus.enumerate_grid(d, m, budget=_budget(args), workers=_workers(args))
+        part = torus.enumerate_grid(d, m, budget=_budget(args), workers=args.workers)
         payload = {
             "d": d,
             "m": m,
@@ -145,10 +141,10 @@ def cmd_grid(args) -> int:
     else:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                torus.grid_to_csv(d, m, fh, budget=_budget(args), workers=_workers(args))
+                torus.grid_to_csv(d, m, fh, budget=_budget(args), workers=args.workers)
         else:
             torus.grid_to_csv(d, m, sys.stdout, budget=_budget(args),
-                              workers=_workers(args))
+                              workers=args.workers)
     return EXIT_OK
 
 
@@ -158,7 +154,7 @@ def cmd_witness(args) -> int:
     samples: list = []
     if args.sample_m > 1:
         part = torus.enumerate_grid(d, args.sample_m, budget=_budget(args),
-                                    workers=_workers(args))
+                                    workers=args.workers)
         samples = part.ort + part.ub
     report = witness.delsarte_bound(
         poly, witness.ort_ub_predicate(d), samples, eps=_eps(args)
@@ -227,7 +223,7 @@ def _build_problem(args) -> lpmod.LpProblem:
         use_shift_symmetry=args.shift_symmetry,
         symmetric=not args.no_orbit_symmetry,
         budget=_budget(args),
-        workers=_workers(args),
+        workers=args.workers,
     )
     return lpmod.build_pseudo_mub_lp(args.d, args.m, table)
 
@@ -309,55 +305,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Torus-point classification, witness bounds, and "
         "pseudo-MUB linear programs for mutually unbiased bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so "lp --eps" cannot silently mean "lp --eps-feas"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
-    def common(p, d_required=True):
+    # each subcommand registers only the flags it reads
+    def common(p, d_required=True, eps=False, grid=False):
         if d_required:
             p.add_argument("--d", type=int, required=True, help="dimension d >= 2")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--eps", type=float, default=None,
-                       help="floating tolerance (default MUBLP_EPS or 1e-9)")
-        p.add_argument("--enum-budget", type=int, default=None,
-                       help="grid enumeration budget (default MUBLP_ENUM_BUDGET)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for scans (default MUBLP_WORKERS)")
+        if eps:
+            p.add_argument("--eps", type=float, default=None,
+                           help="floating tolerance (default MUBLP_EPS or 1e-9)")
+        if grid:
+            p.add_argument("--enum-budget", type=int, default=None,
+                           help="grid enumeration budget (default MUBLP_ENUM_BUDGET)")
+            p.add_argument("--workers", type=int, default=None,
+                           help="worker threads for scans (default MUBLP_WORKERS)")
 
     p = sub.add_parser("construct", help="build and verify a MUB family")
-    common(p)
+    common(p, eps=True)
     p.add_argument("--kind", choices=["prime", "prime-power", "fourier"],
                    required=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a family file")
-    common(p, d_required=False)
+    common(p, d_required=False, eps=True)
     p.add_argument("family", help="family JSON file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grid", help="classify all m-th root grid points")
-    common(p)
+    common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("witness", help="exact witness expansion and its bound")
-    common(p)
+    common(p, eps=True, grid=True)
     p.add_argument("--sample-m", type=int, default=4,
                    help="grid order for allowed-set samples (default 4)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("bound", help="replay the point-set bound for a family")
-    common(p, d_required=False)
+    common(p, d_required=False, eps=True)
     p.add_argument("family", help="family JSON file")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sidon", help="search/verify Sidon sets mod d^2")
-    common(p)
+    common(p, eps=True)
     p.add_argument("--budget", type=int, default=None,
                    help="search node budget (default MUBLP_SIDON_BUDGET)")
     p.set_defaults(func=cmd_sidon)
 
     p = sub.add_parser("lp", help="solve the pseudo-MUB LP on the m-grid")
-    common(p)
+    common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
     p.add_argument("--eps-feas", type=float, default=None,
                    help="constraint feasibility tolerance (default 1e-7)")
@@ -376,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("pseudo-check", help="check a pseudo-MUB candidate file")
-    common(p)
+    common(p, eps=True)
     p.add_argument("candidate", help="grid-mode polynomial JSON file")
     p.set_defaults(func=cmd_pseudo_check)
 
     p = sub.add_parser("export-lp", help="write the LP in interchange text form")
-    common(p)
+    common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
     p.add_argument("--no-orbit-symmetry", action="store_true")
     p.add_argument("--shift-symmetry", action="store_true")

@@ -20,12 +20,11 @@ import numpy as np
 from .config import DEFAULT_EPS
 from .torus import (
     _CLASS_BY_CODE,
-    CODE_FORBIDDEN,
-    CODE_ZERO,
     TorusPoint,
-    _codes_from_digit_rows,
     column_to_point,
-    float_difference_codes,
+    exact_codes,
+    float_codes,
+    is_ort_ub,
 )
 
 _PAIR_BLOCK = 1 << 16
@@ -160,8 +159,8 @@ def family_to_points(
     column of the first matrix is all ones, so the first point is the origin.
     Every pairwise difference must classify ORT or UB; the first offending
     column pair (i, j) in row-major order is reported otherwise.  Pairs are
-    classified in blocks of _PAIR_BLOCK: exact pairs through the exact grid
-    classifier, pairs with a float point through the vectorised float path.
+    classified in blocks of _PAIR_BLOCK: exact pairs by ``exact_codes``, pairs
+    with a float point by ``float_codes`` on the windowed differences.
     """
     d = family.d
     if snap_denominator is None:
@@ -186,15 +185,12 @@ def family_to_points(
         both = exact[i] & exact[j]
         if both.any():
             digits = (numerators[i[both]] - numerators[j[both]]) % snap_denominator
-            exact_codes = _codes_from_digit_rows(digits, d, snap_denominator)
-            exact_codes[~digits.any(axis=1)] = CODE_ZERO
-            codes[both] = exact_codes
+            codes[both] = exact_codes(digits, d, snap_denominator)
         floating = ~both
         if floating.any():
-            codes[floating] = float_difference_codes(
-                coords[i[floating]], coords[j[floating]], d, eps
-            )
-        bad = np.flatnonzero((codes == CODE_ZERO) | (codes == CODE_FORBIDDEN))
+            x = coords[i[floating]] - coords[j[floating]]
+            codes[floating] = float_codes(((x + 0.5) % 1.0) - 0.5, d, eps)
+        bad = np.flatnonzero(~is_ort_ub(codes))
         if bad.size:
             k = bad[0]
             pair = (int(i[k]), int(j[k]))

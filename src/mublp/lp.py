@@ -74,13 +74,12 @@ from .serialize import load_json, write_json
 from .simplex import ITERATION_LIMIT, OPTIMAL, solve_equality_form
 from .torus import (
     _CLASS_BY_CODE,
-    CODE_ORT,
-    CODE_UB,
+    CODE_FORBIDDEN,
     PointClass,
-    TorusPoint,
     _decode_digits,
-    classify,
+    exact_codes,
     exact_grid_codes,
+    is_ort_ub,
     multiset_rank_tables,
     multiset_ranks,
 )
@@ -285,7 +284,7 @@ def build_orbits(
     singleton orbit (used for symmetrisation cross-checks).
     """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    points = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
+    points = np.flatnonzero(is_ort_ub(codes))
     point_codes = codes[points]
     del codes                   # frees the cube before the members are decoded
     digits = _decode_digits(points, m, d - 1)
@@ -557,10 +556,14 @@ def solve_lp(
                 basis = np.where(
                     basis >= solved_rows, basis + r - solved_rows, basis
                 )
-            result = solve_equality_form(
-                G, c, cd, np.zeros(r + 2 * n_orb),
-                np.full(r + 2 * n_orb, np.inf), basis,
-            )
+            try:
+                result = solve_equality_form(
+                    G, c, cd, np.zeros(r + 2 * n_orb),
+                    np.full(r + 2 * n_orb, np.inf), basis,
+                )
+            except ValueError as exc:
+                # the basis is built here, so a rejected basis is a bug here
+                raise AssertionError(f"restricted master: {exc}") from exc
             total_iterations += result.iterations
             if result.status == ITERATION_LIMIT:
                 return LpSolution(
@@ -750,15 +753,10 @@ def pseudo_mub_check(
     if f.dim != d - 1:
         raise ValueError(f"candidate has dim {f.dim}, expected {d - 1}")
     m = f.grid
-    support_ok = True
-    for y, weight in f.terms.items():
-        if float(weight) < -eps:
-            support_ok = False
-            break
-        cls = classify(TorusPoint.exact(m, y), d)
-        if cls not in (PointClass.ORT, PointClass.UB, PointClass.ZERO):
-            support_ok = False
-            break
+    support = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
+    weights = np.array([float(w) for w in f.terms.values()])
+    support_ok = not (np.any(weights < -eps)
+                      or np.any(exact_codes(support % m, d, m) == CODE_FORBIDDEN))
     a = np.zeros((m,) * f.dim, dtype=complex)
     for y, weight in f.terms.items():
         a[y] += float(weight)

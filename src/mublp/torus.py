@@ -8,9 +8,13 @@ Hadamard matrix is represented by the point (x_1, ..., x_(d-1)).  A point is
   * ZERO       if it is the origin,
   * FORBIDDEN  otherwise.
 
-Points with rational coordinates a_j/m are classified exactly in Z[zeta_m]
-(the exact path is authoritative); arbitrary points fall back to 64-bit
-floating point with tolerance ``eps``.
+Two array kernels decide every class.  ``exact_codes`` classifies rows of
+numerators a_j over a denominator m exactly in Z[zeta_m], by integer
+arithmetic on root-of-unity multiplicity counts (the exact path is
+authoritative).  ``float_codes`` classifies rows of float coordinates in
+64-bit floating point with tolerance ``eps``.  ``classify`` is their one-point
+front end.  ``float_grid_codes`` stays apart, as the independent floating
+oracle for the exact grid scan.
 
 Grid enumeration is vectorised.  A point's class only depends on the
 multiset of its coordinates, so each multiset is classified once by integer
@@ -36,14 +40,7 @@ from .config import (
     DEFAULT_EPS,
     run_chunked,
 )
-from .cyclo import (
-    _zeta_power_rows,
-    cyclo_conj,
-    cyclo_equals_integer,
-    cyclo_from_counts,
-    cyclo_mul,
-    euler_phi,
-)
+from .cyclo import _zeta_power_rows
 
 
 class PointClass(enum.Enum):
@@ -62,6 +59,16 @@ _CLASS_BY_CODE = {
 }
 
 _CHUNK = 1 << 18
+
+
+def is_ort_ub(codes: np.ndarray) -> np.ndarray:
+    """Mask of the ORT/UB entries of a uint8 code array, in one temporary.
+
+    ORT and UB are the adjacent codes 1 and 2, so code - 1 is below 2 for them
+    alone (ZERO wraps to 255); the comparison overwrites the difference.
+    """
+    mask = codes - np.uint8(CODE_ORT)
+    return np.less(mask, 2, out=mask.view(np.bool_))
 
 
 @dataclass(frozen=True)
@@ -106,38 +113,17 @@ class TorusPoint:
         return all(abs(v) <= eps for v in self.coords)
 
 
-def zero_point(d: int) -> TorusPoint:
-    return TorusPoint.exact(1, (0,) * (d - 1))
-
-
 def classify(point: TorusPoint, d: int, eps: float = DEFAULT_EPS) -> PointClass:
     """Class of ``point`` for dimension ``d`` (point lives on T^(d-1))."""
     if point.dim != d - 1:
         raise ValueError(f"point has dim {point.dim}, expected {d - 1}")
     if point.is_exact:
-        if point.is_zero():
-            return PointClass.ZERO
-        m = point.denominator
-        counts = [0] * m
-        counts[0] += 1
-        for a in point.coords:
-            counts[a] += 1
-        z = cyclo_from_counts(m, counts)
-        n = cyclo_mul(z, cyclo_conj(z))
-        if cyclo_equals_integer(n, 0):
-            return PointClass.ORT
-        if cyclo_equals_integer(n, d):
-            return PointClass.UB
-        return PointClass.FORBIDDEN
-    if point.is_zero(eps):
-        return PointClass.ZERO
-    s = 1.0 + sum(np.exp(2j * np.pi * x) for x in point.coords)
-    v = abs(s) ** 2
-    if abs(v) <= eps:
-        return PointClass.ORT
-    if abs(v - d) <= eps:
-        return PointClass.UB
-    return PointClass.FORBIDDEN
+        row = np.array(point.coords, dtype=np.int64).reshape(1, point.dim)
+        code = exact_codes(row, d, point.denominator)[0]
+    else:
+        row = np.array(point.coords, dtype=float).reshape(1, point.dim)
+        code = float_codes(row, d, eps)[0]
+    return _CLASS_BY_CODE[int(code)]
 
 
 def difference(p: TorusPoint, q: TorusPoint) -> TorusPoint:
@@ -160,16 +146,13 @@ def difference(p: TorusPoint, q: TorusPoint) -> TorusPoint:
     return TorusPoint.from_floats(a - b for a, b in zip(pa, qa))
 
 
-def float_difference_codes(
-    a: np.ndarray, b: np.ndarray, d: int, eps: float = DEFAULT_EPS
-) -> np.ndarray:
-    """Class codes of ``classify(difference(p, q))`` for float rows a, b.
+def float_codes(x: np.ndarray, d: int, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Float class codes of the rows of ``x``: the one floating classifier.
 
-    The rows hold the float coordinates of p and q (``as_floats``); the
-    differences are windowed, summed and tested exactly as the scalar float
-    path does, so a pair with a float point gets the same class either way.
+    Rows hold windowed coordinates in [-1/2, 1/2).  The roots of a row are
+    summed left to right.  A row within ``eps`` of the origin is ZERO; then
+    ORT takes precedence over UB.
     """
-    x = ((a - b + 0.5) % 1.0) - 0.5
     total = np.zeros(len(x), dtype=complex)
     for column in np.exp(2j * np.pi * x).T:
         total = total + column
@@ -179,13 +162,6 @@ def float_difference_codes(
     codes[np.abs(v) <= eps] = CODE_ORT
     codes[np.all(np.abs(x) <= eps, axis=1)] = CODE_ZERO
     return codes
-
-
-def negate(p: TorusPoint) -> TorusPoint:
-    if p.is_exact:
-        m = p.denominator
-        return TorusPoint.exact(m, ((m - a) % m for a in p.coords))
-    return TorusPoint.from_floats(-v for v in p.coords)
 
 
 def column_to_point(
@@ -250,8 +226,14 @@ def _reduction_matrix(m: int) -> np.ndarray:
     return np.array([rows[t] for t in range(m)], dtype=np.int64)
 
 
-def _codes_from_digit_rows(digits: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Exact class codes for digit rows (zero point NOT special-cased)."""
+def exact_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Exact class codes of digit rows over m: the one exact classifier.
+
+    A row a is the point (a_1/m, ..., a_n/m).  Its multiplicity counts c give
+    |1 + sum zeta^(a_j)|^2 = sum_s (sum_t c_t c_(t+s)) zeta^s, which is
+    reduced to the power basis of Z[zeta_m] and compared with 0 and d.
+    All-zero rows are ZERO.
+    """
     length = digits.shape[0]
     counts = np.zeros((length, m), dtype=np.int64)
     row_ids = np.arange(length)
@@ -266,6 +248,7 @@ def _codes_from_digit_rows(digits: np.ndarray, d: int, m: int) -> np.ndarray:
     codes[np.all(reduced == 0, axis=1)] = CODE_ORT
     is_d = (reduced[:, 0] == d) & np.all(reduced[:, 1:] == 0, axis=1)
     codes[is_d] = CODE_UB
+    codes[~digits.any(axis=1)] = CODE_ZERO
     return codes
 
 
@@ -326,7 +309,7 @@ def exact_grid_codes(
         )
     tables, rows = multiset_rank_tables(d - 1, m)
     # the root sum 1 + sum zeta^(a_j) only depends on the coordinate multiset
-    ms_codes = _codes_from_digit_rows(rows, d, m)
+    ms_codes = exact_codes(rows, d, m)
     # multiset ranks of the last d-2 coordinates of every point, in C order
     ranks = np.zeros(1, dtype=np.int64)
     for table in tables[:-1]:
@@ -342,9 +325,7 @@ def exact_grid_codes(
         range(0, len(leading), step),
         workers,
     )
-    codes = codes.ravel()
-    codes[0] = CODE_ZERO
-    return codes
+    return codes.ravel()
 
 
 def _float_codes_chunk(d: int, m: int, lo: int, hi: int, eps: float) -> np.ndarray:
@@ -401,13 +382,12 @@ def enumerate_grid(
     The zero point is excluded from both lists.
     """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    out: dict[int, list[TorusPoint]] = {CODE_ORT: [], CODE_UB: []}
-    for code, target in out.items():
-        indices = np.flatnonzero(codes == code)
-        if indices.size:
-            digits = _decode_digits(indices, m, d - 1)
-            target.extend(TorusPoint.exact(m, row) for row in digits.tolist())
-    return GridPartition(d=d, m=m, ort=out[CODE_ORT], ub=out[CODE_UB])
+    indices = np.flatnonzero(is_ort_ub(codes))
+    points = {}
+    for code in (CODE_ORT, CODE_UB):
+        digits = _decode_digits(indices[codes[indices] == code], m, d - 1)
+        points[code] = [TorusPoint.exact(m, row) for row in digits.tolist()]
+    return GridPartition(d=d, m=m, ort=points[CODE_ORT], ub=points[CODE_UB])
 
 
 def grid_to_csv(
@@ -423,7 +403,7 @@ def grid_to_csv(
     _CHUNK rows at a time, so memory stays flat on large grids.
     """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    indices = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
+    indices = np.flatnonzero(is_ort_ub(codes))
     numerators = np.array([f"{v}," for v in range(m)], dtype=object)
     labels = np.array(["", "ORT\n", "UB\n", ""], dtype=object)  # by class code
     for lo in range(0, indices.size, _CHUNK):

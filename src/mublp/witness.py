@@ -38,8 +38,6 @@ import numpy as np
 from .config import DEFAULT_EPS
 from .torus import PointClass, TorusPoint, classify
 
-ExponentVector = tuple
-
 
 class InversionMismatchError(RuntimeError):
     """Spectral and spatial sums disagree (a support or evenness bug)."""

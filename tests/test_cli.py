@@ -10,6 +10,7 @@ import pytest
 
 from mublp import cli
 from mublp import lp as lpmod
+from mublp.torus import CODE_UB
 
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
@@ -200,7 +201,7 @@ def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
 
 def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch):
     codes = lpmod.exact_grid_codes(3, 3)
-    codes[2 * 3 + 1] = lpmod.CODE_UB      # (2, 1) is ORT, like (1, 2) in its orbit
+    codes[2 * 3 + 1] = CODE_UB            # (2, 1) is ORT, like (1, 2) in its orbit
     monkeypatch.setattr(lpmod, "exact_grid_codes", lambda *a, **k: codes)
     code = cli.main(["lp", "--d", "3", "--m", "3",
                      "--dual-witness", str(tmp_path / "dw.json")])
@@ -210,6 +211,61 @@ def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch
     assert err == ("error: internal: orbit (1, 2) mixes classes "
                    "PointClass.UB and PointClass.ORT\n")
     assert not (tmp_path / "dw.json").exists()
+
+
+def test_rejected_master_basis_exits_internal(tmp_path, capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("initial basis is not feasible")
+
+    monkeypatch.setattr(lpmod, "solve_equality_form", reject)
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: restricted master: initial basis is not feasible\n"
+    assert not (tmp_path / "dw.json").exists()
+
+
+_REQUIRED_ARGS = {
+    "construct": ["--d", "3", "--kind", "prime"],
+    "verify": ["family.json"],
+    "grid": ["--d", "3", "--m", "3"],
+    "bound": ["family.json"],
+    "sidon": ["--d", "3"],
+    "lp": ["--d", "3", "--m", "3"],
+    "pseudo-check": ["--d", "3", "candidate.json"],
+    "export-lp": ["--d", "3", "--m", "3"],
+}
+_UNREAD_FLAGS = [("grid", "--eps"), ("lp", "--eps"), ("export-lp", "--eps")] + [
+    (command, flag)
+    for command in ("construct", "verify", "bound", "sidon", "pseudo-check")
+    for flag in ("--enum-budget", "--workers")
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+def test_flags_a_subcommand_never_reads_are_usage_errors(capsys, command, flag):
+    argv = [command, *_REQUIRED_ARGS[command]]
+    cli.build_parser().parse_args(argv)         # valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, "1"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_grid_flags_still_read_by_lp_and_grid(tmp_path, capsys):
+    assert cli.main(["lp", "--d", "3", "--m", "3", "--workers", "1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["M"] == pytest.approx(9.0)
+    out = str(tmp_path / "grid.csv")
+    # 9 points, and 6 coordinate multisets x 3 count cells
+    assert cli.main(["grid", "--d", "3", "--m", "3", "--enum-budget", "18",
+                     "--out", out]) == cli.EXIT_OK
+    assert len(open(out).read().splitlines()) == 8
+    # a budget below the point count: the flag is read, not ignored
+    assert cli.main(["grid", "--d", "3", "--m", "3", "--enum-budget", "8",
+                     "--out", out]) == cli.EXIT_CHECK_FAILED
+    assert "exceeds enumeration budget 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("status,M", [("unbounded", math.inf),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from classify_reference import classify_reference
 
 from mublp import hadamard
 from mublp.config import DEFAULT_EPS
@@ -25,7 +26,7 @@ from mublp.hadamard import (
     verify_family,
 )
 from mublp.serialize import render_json
-from mublp.torus import PointClass, TorusPoint, classify, column_to_point, difference
+from mublp.torus import PointClass, TorusPoint, column_to_point, difference
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex)
 H2 = np.array([[1, 1], [1j, -1j]], dtype=complex)
@@ -100,7 +101,7 @@ def test_family_to_points_examples():
     assert len(points) == 4
     for i in range(4):
         for j in range(i + 1, 4):
-            cls = classify(difference(points[i], points[j]), 2)
+            cls = classify_reference(difference(points[i], points[j]), 2)
             assert cls in (PointClass.ORT, PointClass.UB)
 
 
@@ -113,7 +114,7 @@ def test_family_to_points_reports_offending_pair():
 
 
 def _family_to_points_reference(family, eps=DEFAULT_EPS):
-    """family_to_points as one scalar classify(difference(...)) per pair."""
+    """family_to_points as one scalar reference classification per pair."""
     d = family.d
     snap = family.parameters.get("root_order")
     points = [column_to_point(h[:, j], snap, eps)
@@ -123,7 +124,7 @@ def _family_to_points_reference(family, eps=DEFAULT_EPS):
                                pair=(0, 0))
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            cls = classify(difference(points[i], points[j]), d, eps)
+            cls = classify_reference(difference(points[i], points[j]), d, eps)
             if cls not in (PointClass.ORT, PointClass.UB):
                 raise FamilyPointError(
                     f"difference of columns {i} and {j} classifies {cls.value}",

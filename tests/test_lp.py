@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from classify_reference import classify_reference
 
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
@@ -99,13 +100,11 @@ def test_orbit_sizes_partition_the_grid_classes():
 
 
 def test_orbit_members_classify_like_representative():
-    from mublp.torus import classify
-
     for d, m in [(3, 6), (6, 4)]:
         table = build_orbits(d, m)
         for orbit in table.orbits:
             for y in orbit.members:
-                assert classify(TorusPoint.exact(m, y), d) is orbit.point_class
+                assert classify_reference(TorusPoint.exact(m, y), d) is orbit.point_class
 
 
 def test_canonical_point_and_char_are_group_invariant():
@@ -571,6 +570,34 @@ def test_pseudo_mub_check_rejects_delta():
     report = pseudo_mub_check(f, 3)
     assert not report.ok
     assert report.origin_ok and not report.mass_ok
+
+
+def test_pseudo_mub_check_rejects_forbidden_support():
+    # at (d, m) = (3, 4) no nonzero point is ORT or UB: |1 + i|^2 = 2
+    f = TrigPolynomial.from_terms(2, {(0, 0): 9.0, (0, 1): 1.0, (0, 3): 1.0}, grid=4)
+    report = pseudo_mub_check(f, 3)
+    assert not report.support_ok and not report.ok
+    assert report.origin_ok
+    assert pseudo_mub_check(TrigPolynomial.from_terms(2, {(0, 0): 9.0}, grid=4),
+                            3).support_ok
+
+
+def test_pseudo_mub_check_rejects_negative_weight():
+    # a complete d = 3 family's difference counts, with one allowed point's
+    # weight made negative: beyond -eps the support check fails, within it
+    # the check passes
+    points = family_to_points(prime_mubs(3))
+    counts = {}
+    for p in points:
+        for q in points:
+            y = difference(p, q).coords
+            counts[y] = counts.get(y, 0.0) + 1.0
+    assert pseudo_mub_check(TrigPolynomial.from_terms(2, counts, grid=3), 3).ok
+    for weight, support_ok in [(-1.0, False), (-1e-6, False), (-1e-10, True)]:
+        terms = dict(counts)
+        terms[(1, 2)] = weight          # (1, 2) is ORT
+        report = pseudo_mub_check(TrigPolynomial.from_terms(2, terms, grid=3), 3)
+        assert report.support_ok is support_ok, weight
 
 
 def test_pseudo_mub_check_rejects_rescaled_suboptimal_lp():

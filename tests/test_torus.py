@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from classify_reference import classify_reference
 
 from mublp.config import BudgetExceededError
 from mublp.torus import (
@@ -19,8 +20,15 @@ from mublp.torus import (
     exact_grid_codes,
     float_grid_codes,
     grid_to_csv,
-    negate,
+    is_ort_ub,
 )
+
+
+def negate(p: TorusPoint) -> TorusPoint:
+    if p.is_exact:
+        m = p.denominator
+        return TorusPoint.exact(m, ((m - a) % m for a in p.coords))
+    return TorusPoint.from_floats(-v for v in p.coords)
 
 
 def test_classify_examples():
@@ -186,7 +194,7 @@ _CODE_OF_CLASS = {
 @pytest.mark.parametrize("d,m", [(3, 48), (4, 30), (5, 24)])
 def test_exact_codes_match_scalar_classify(d, m):
     # grids beyond the exact-vs-float full scan (d <= 8, m <= 12); the scalar
-    # exact classify works in Z[zeta_m] with CycloInt arithmetic
+    # reference works in Z[zeta_m] with CycloInt arithmetic
     codes = exact_grid_codes(d, m)
     assert codes.shape == (m ** (d - 1),)
     rng = np.random.default_rng(d * 100 + m)
@@ -198,7 +206,49 @@ def test_exact_codes_match_scalar_classify(d, m):
     ])
     for lin in picks.tolist():
         point = TorusPoint.exact(m, np.unravel_index(lin, (m,) * (d - 1)))
-        assert codes[lin] == _CODE_OF_CLASS[classify(point, d)], (d, m, point)
+        assert codes[lin] == _CODE_OF_CLASS[classify_reference(point, d)], (d, m, point)
+
+
+def test_classify_matches_scalar_reference_on_random_points():
+    # classify is a one-row call to exact_codes or float_codes; the reference
+    # is the scalar CycloInt / Python-sum algorithm
+    rng = np.random.default_rng(12)
+    cases = []
+    for d in range(1, 9):                       # the zero point, m = 1 and m > 1
+        cases.append((TorusPoint.exact(1, (0,) * (d - 1)), d))
+        cases.append((TorusPoint.exact(int(rng.integers(2, 49)), (0,) * (d - 1)), d))
+    while len(cases) < 6_000:
+        d, m = int(rng.integers(1, 9)), int(rng.integers(1, 49))
+        cases.append((TorusPoint.exact(m, rng.integers(0, m, d - 1)), d))
+    # window edges, exact zeros and coordinates at and around eps = 1e-9
+    edges = [-0.5, float(np.nextafter(0.5, 0.0)), 0.5, 0.0, -0.0,
+             1e-12, -1e-12, 5e-10, 1e-9, -1e-9, float(np.nextafter(1e-9, 1.0)), 2e-9]
+    while len(cases) < 12_000:
+        d = int(rng.integers(1, 9))
+        kind = len(cases) % 3
+        if kind == 0:
+            x = rng.uniform(-0.5, 0.5, d - 1)
+        elif kind == 1:                         # near ORT/UB: grid points, jittered
+            m = int(rng.choice([2, 3, 4, 6, 8, 12]))
+            jitter = rng.choice([0.0, 1e-13, -1e-11, 1e-9], d - 1)
+            x = rng.integers(0, m, d - 1) / m + jitter
+        else:
+            x = rng.choice(edges, d - 1)
+        cases.append((TorusPoint.from_floats(x), d))
+    seen = set()
+    for point, d in cases:
+        cls = classify(point, d)
+        assert cls is classify_reference(point, d), (point, d)
+        seen.add((point.is_exact, cls))
+    assert seen == {(e, c) for e in (True, False) for c in PointClass}
+
+
+def test_is_ort_ub_selects_the_two_allowed_codes():
+    codes = np.array([CODE_ZERO, CODE_ORT, CODE_UB, CODE_FORBIDDEN, CODE_UB], dtype=np.uint8)
+    mask = is_ort_ub(codes)
+    assert mask.dtype == bool
+    assert mask.tolist() == [False, True, True, False, True]
+    assert codes.tolist() == [0, 1, 2, 3, 2]        # the input is left alone
 
 
 def _csv_reference(d, m):

@@ -6,7 +6,7 @@ import pytest
 
 from mublp.constructions import prime_mubs, prime_power_mubs
 from mublp.hadamard import family_to_points
-from mublp.torus import TorusPoint, difference, enumerate_grid, zero_point
+from mublp.torus import TorusPoint, difference, enumerate_grid
 from mublp.witness import (
     InversionMismatchError,
     TrigPolynomial,
@@ -20,6 +20,10 @@ from mublp.witness import (
     trig_from_json_obj,
     trig_to_json_obj,
 )
+
+
+def zero_point(d: int) -> TorusPoint:
+    return TorusPoint.exact(1, (0,) * (d - 1))
 
 
 def test_eval_h_examples():
