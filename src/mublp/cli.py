@@ -156,9 +156,8 @@ def cmd_witness(args) -> int:
         part = torus.enumerate_grid(d, args.sample_m, budget=_budget(args),
                                     workers=args.workers)
         samples = part.ort + part.ub
-    report = witness.delsarte_bound(
-        poly, witness.ort_ub_predicate(d), samples, eps=_eps(args)
-    )
+    # enumerate_grid classified every sample exactly: all are ORT or UB
+    report = witness.delsarte_bound(poly, samples=samples, eps=_eps(args))
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
     payload["constant_term"] = str(poly.constant_term())
@@ -245,7 +244,7 @@ def cmd_lp(args) -> int:
         progress=True if args.progress or args.m >= 12 else None,
     )
     if sol.status != "optimal":
-        # M is inf or nan here, which has no JSON form
+        # M is nan here, which has no JSON form
         print(
             f"error: LP ended with status {sol.status} after {sol.rounds} rounds "
             f"({sol.active_constraints} rows)",

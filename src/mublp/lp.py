@@ -83,7 +83,7 @@ from .torus import (
     multiset_rank_tables,
     multiset_ranks,
 )
-from .witness import TrigPolynomial, delsarte_bound
+from .witness import TrigPolynomial, _transform, delsarte_bound
 
 _WEIGHT_BOX = 2.0
 _CHUNK = 1 << 14    # characters canonicalised per vectorised step (bounds memory)
@@ -422,7 +422,7 @@ def build_pseudo_mub_lp(d: int, m: int, orbits: OrbitTable) -> LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str                 # optimal | unbounded | budget_exceeded
+    status: str                 # optimal | budget_exceeded
     M: float
     weights: np.ndarray
     dual: dict                  # canonical gamma -> nonnegative multiplier
@@ -574,14 +574,8 @@ def solve_lp(
                     final_scan_min=float("nan"), duality_gap=float("nan"),
                 )
             if result.status != OPTIMAL:
-                # the witness bound guarantees boundedness; reaching this is a bug
-                return LpSolution(
-                    status="unbounded", M=float("inf"),
-                    weights=weights, dual={},
-                    iterations=total_iterations, rounds=rounds,
-                    active_constraints=r,
-                    final_scan_min=float("nan"), duality_gap=float("nan"),
-                )
+                # costs <= 0 on variables >= 0 bound the objective above by 0
+                raise AssertionError(f"restricted master ended {result.status}")
             basis = result.basis
             lam = result.x[:r]
             mu = result.x[r : r + n_orb]
@@ -757,10 +751,7 @@ def pseudo_mub_check(
     weights = np.array([float(w) for w in f.terms.values()])
     support_ok = not (np.any(weights < -eps)
                       or np.any(exact_codes(support % m, d, m) == CODE_FORBIDDEN))
-    a = np.zeros((m,) * f.dim, dtype=complex)
-    for y, weight in f.terms.items():
-        a[y] += float(weight)
-    fhat = np.fft.fftn(a).conj()  # fhat(gamma) = sum f(y) e^(+2 pi i <gamma,y>/m)
+    fhat = _transform(f, m)  # fhat(gamma) = sum f(y) e^(+2 pi i <gamma,y>/m)
     min_real = float(fhat.real.min())
     max_imag = float(np.abs(fhat.imag).max())
     transform_ok = min_real >= -eps and max_imag <= eps * max(

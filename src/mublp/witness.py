@@ -24,6 +24,10 @@ mutually orthogonal-or-unbiased vectors.
 TrigPolynomial also hosts grid-mode polynomials: finitely supported
 functions on Z_m^(d-1), used both for LP dual certificates (coefficients on
 characters) and pseudo-MUB candidate functions (weights on points).
+
+Values on a grid come from one FFT evaluator, ``_transform`` (``grid_values``,
+``delsarte_bound``, ``lp.pseudo_mub_check``); ``eval_trig`` is the scalar
+reference, and ``check_point_set`` evaluates at family points off any grid.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_EPS
-from .torus import PointClass, TorusPoint, classify
+from .config import DEFAULT_ENUM_BUDGET, DEFAULT_EPS
+from .torus import PointClass, TorusPoint, _check_budget, classify
 
 
 class InversionMismatchError(RuntimeError):
@@ -144,13 +148,13 @@ def expand_h(d: int) -> TrigPolynomial:
     return poly
 
 
-def _grid_residues(t: TrigPolynomial, point: TorusPoint) -> tuple[int, ...]:
-    if not point.is_exact or t.grid % point.denominator != 0:
+def _grid_residues(point: TorusPoint, grid: int) -> tuple[int, ...]:
+    if not point.is_exact or grid % point.denominator != 0:
         raise ValueError(
-            f"grid mode needs an exact point with denominator dividing {t.grid}"
+            f"grid mode needs an exact point with denominator dividing {grid}"
         )
-    scale = t.grid // point.denominator
-    return tuple((a * scale) % t.grid for a in point.coords)
+    scale = grid // point.denominator
+    return tuple((a * scale) % grid for a in point.coords)
 
 
 def eval_trig(t: TrigPolynomial, point: TorusPoint, eps: float = DEFAULT_EPS):
@@ -164,7 +168,7 @@ def eval_trig(t: TrigPolynomial, point: TorusPoint, eps: float = DEFAULT_EPS):
     total = 0j
     if t.grid is not None:
         m = t.grid
-        residues = _grid_residues(t, point)
+        residues = _grid_residues(point, m)
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         for gamma, coeff in t.terms.items():
             phase = sum(g * r for g, r in zip(gamma, residues)) % m
@@ -185,26 +189,34 @@ def eval_trig(t: TrigPolynomial, point: TorusPoint, eps: float = DEFAULT_EPS):
     return total
 
 
+@lru_cache(maxsize=8)
 def _support_matrix(t: TrigPolynomial):
+    """Sorted support, float coefficients and exact h(0), cached per object:
+    t's terms must not change after the first call."""
     gammas = sorted(t.terms.keys())
     g = np.array(gammas, dtype=float)
     c = np.array([float(t.terms[gamma]) for gamma in gammas])
-    return g, c
+    return g, c, t.value_at_zero()
+
+
+def _transform(t: TrigPolynomial, grid: int) -> np.ndarray:
+    """t(y / grid) at every y of the (grid,)*dim cube: the coefficients added in
+    at their exponents mod grid, then one unnormalised FFT."""
+    gammas = np.array(list(t.terms), dtype=np.int64).reshape(len(t.terms), t.dim)
+    a = np.zeros((grid,) * t.dim, dtype=complex)
+    np.add.at(a, tuple((gammas % grid).T), [float(c) for c in t.terms.values()])
+    return np.fft.ifftn(a, norm="forward")
 
 
 def grid_values(t: TrigPolynomial) -> np.ndarray:
     """Values of a grid-mode polynomial at every grid point, via the FFT.
 
-    Returns the full (m,)*dim real array; entry y is
+    Returns the full (m,)*dim array, real when t is even; entry y is
     sum_gamma c_gamma e^(2 pi i <gamma, y> / m).
     """
     if t.grid is None:
         raise ValueError("grid mode only")
-    m = t.grid
-    a = np.zeros((m,) * t.dim, dtype=complex)
-    for gamma, coeff in t.terms.items():
-        a[gamma] += coeff
-    values = np.fft.ifftn(a) * m**t.dim
+    values = _transform(t, t.grid)
     return values.real if t.even else values
 
 
@@ -246,7 +258,7 @@ def check_point_set(
     pts = list(points)
     nb = len(pts)
     xs = np.array([p.as_floats() for p in pts], dtype=float)
-    g, c = _support_matrix(t)
+    g, c, h0 = _support_matrix(t)
     e = np.exp(2j * np.pi * (xs @ g.T))
     bhat = e.sum(axis=0)
     s_spectral = float(np.abs(bhat) ** 2 @ c)
@@ -256,7 +268,6 @@ def check_point_set(
         raise InversionMismatchError(
             f"S disagrees: spectral {s_spectral!r} vs spatial {s_spatial!r}"
         )
-    h0 = t.value_at_zero()
     term0 = t.constant_term()
     bound = h0 / term0 if isinstance(h0, Fraction) else float(h0) / float(term0)
     off = values[~np.eye(nb, dtype=bool)]
@@ -298,23 +309,31 @@ def delsarte_bound(
     test).  Any violation marks the bound invalid rather than raising.
 
     ``samples`` are ``TorusPoint``s or, for a grid-mode ``t``, a (k, dim)
-    integer array of residues (without ``allowed``).  Above 64 grid samples
-    the values are read from one ``grid_values`` FFT.
+    integer array of residues (without ``allowed``).  All values come from one
+    ``_transform`` on ``t.grid``, or for a continuous ``t`` on the samples'
+    shared denominator (float samples or mixed denominators: ``ValueError``;
+    a cube over ``DEFAULT_ENUM_BUDGET`` points: ``BudgetExceededError``).
     """
-    residues = None
+    grid = t.grid
     if isinstance(samples, np.ndarray):
-        if t.grid is None or allowed is not None:
+        if grid is None or allowed is not None:
             raise ValueError(
                 "residue samples need a grid-mode witness and no allowed predicate"
             )
         if (samples.ndim != 2 or samples.shape[1] != t.dim
                 or not np.issubdtype(samples.dtype, np.integer)):
             raise ValueError(f"residue samples must be integers of shape (k, {t.dim})")
-        residues = samples % t.grid
-        samples = ()
-        if len(residues) <= 64:
-            samples = [TorusPoint.exact(t.grid, row) for row in residues.tolist()]
-            residues = None
+        residues = samples % grid
+    else:
+        samples = list(samples)
+        if grid is None:
+            denominators = {p.denominator for p in samples}
+            if None in denominators or len(denominators) > 1:
+                raise ValueError("continuous witness: samples need one exact denominator")
+            grid = denominators.pop() if denominators else 1
+            _check_budget(t.dim + 1, grid, DEFAULT_ENUM_BUDGET)
+        rows = [_grid_residues(p, grid) for p in samples]
+        residues = np.array(rows, dtype=np.int64).reshape(len(rows), t.dim)
     messages = []
     if not t.even:
         messages.append("polynomial is not even")
@@ -333,24 +352,17 @@ def delsarte_bound(
     bound = h0 / term0 if exact else float(h0) / float(term0)
     tol = eps * max(1.0, abs(float(h0)))
 
-    samples = list(samples)
     if allowed is not None:
         for p in samples:
             if not allowed(p):
                 messages.append(f"sample {p} is not in the allowed set")
                 return DelsarteReport(False, bound, min_coeff, 0.0,
                                       tuple(messages))
-    if t.grid is not None and len(samples) > 64:
-        residues = np.array([_grid_residues(t, p) for p in samples])
     max_sample = 0.0
-    if residues is not None:
-        max_sample = float(np.real(grid_values(t)[tuple(residues.T)]).max())
-    elif samples:
-        max_sample = max(float(np.real(eval_trig(t, p, eps))) for p in samples)
-    if (samples or residues is not None) and max_sample > tol:
-        messages.append(
-            f"witness is positive on an allowed sample: {max_sample:.3g}"
-        )
+    if len(residues):
+        max_sample = float(_transform(t, grid)[tuple(residues.T)].real.max())
+        if max_sample > tol:
+            messages.append(f"witness is positive on an allowed sample: {max_sample:.3g}")
     return DelsarteReport(not messages, bound, min_coeff, max_sample, tuple(messages))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import signal
@@ -10,7 +11,9 @@ import pytest
 
 from mublp import cli
 from mublp import lp as lpmod
-from mublp.torus import CODE_UB
+from mublp import witness as witnessmod
+from mublp.simplex import UNBOUNDED
+from mublp.torus import CODE_UB, enumerate_grid
 
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
@@ -225,6 +228,37 @@ def test_rejected_master_basis_exits_internal(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "error: internal: restricted master: initial basis is not feasible\n"
     assert not (tmp_path / "dw.json").exists()
+
+
+def test_unbounded_master_exits_internal(tmp_path, capsys, monkeypatch):
+    real = lpmod.solve_equality_form
+
+    def unbounded(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), status=UNBOUNDED)
+
+    monkeypatch.setattr(lpmod, "solve_equality_form", unbounded)
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: restricted master ended unbounded\n"
+    assert not (tmp_path / "dw.json").exists()
+
+
+def test_witness_takes_its_samples_as_classified(capsys, monkeypatch):
+    # enumerate_grid already classified every sample; none is classified again
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample classified twice")
+
+    monkeypatch.setattr(witnessmod, "ort_ub_predicate", refuse)
+    monkeypatch.setattr(witnessmod, "classify", refuse)
+    assert cli.main(["witness", "--d", "5", "--sample-m", "6"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] and payload["bound"] == "25"
+    grid = enumerate_grid(5, 6)
+    assert payload["sample_count"] == len(grid.ort) + len(grid.ub)
+    assert abs(payload["max_sample_value"]) < 1e-9
 
 
 _REQUIRED_ARGS = {

@@ -38,6 +38,7 @@ from mublp.torus import (
 )
 from mublp.witness import (
     TrigPolynomial,
+    _transform,
     delsarte_bound,
     grid_values,
     ort_ub_predicate,
@@ -346,7 +347,8 @@ def oracle_cases(draw):
 
 
 # the raw (5, 8) master ends "unbounded" from simplex drift (ROADMAP item
-# 6); the CLI turns that into exit 1, which test_cli covers
+# 1), which solve_lp raises as an internal AssertionError; test_cli covers
+# the CLI's exit 1 for it
 ORACLE_CASES = oracle_cases().filter(lambda case: case[:3] != (5, 8, "raw"))
 
 
@@ -454,7 +456,8 @@ def _values_at(t, rows):
 def test_delsarte_bound_accepts_residue_samples(d, m):
     prob, cert = _certificate(d, m)
     rows = prob.member_matrix
-    # (4,6) has 49 members, under the 64-sample FFT threshold; (5,12) has 1060
+    # (4,6) has 49 members and (5,12) 1060; the point lists and the residue
+    # arrays name the same grid points, so both forms give one report
     for sample_rows in (rows, rows[:64], rows[:1]):
         points = [TorusPoint.exact(m, y) for y in sample_rows.tolist()]
         want = delsarte_bound(cert, samples=points)
@@ -551,15 +554,19 @@ def test_extract_dual_witness_matches_reference_assembly(
     assert sorted(_decode_digits(ort_ub, m, d - 1).tolist()) == sorted(samples.tolist())
 
 
-def test_pseudo_mub_check_from_complete_family():
-    # difference-counting function of a complete d = 3 family
-    points = family_to_points(prime_mubs(3))
+def _family_counts(points):
     counts = {}
     for p in points:
         for q in points:
             y = difference(p, q).coords
-            counts[y] = counts.get(y, 0) + 1
-    f = TrigPolynomial.from_terms(2, {k: float(v) for k, v in counts.items()}, grid=3)
+            counts[y] = counts.get(y, 0.0) + 1.0
+    return counts
+
+
+def test_pseudo_mub_check_from_complete_family():
+    # difference-counting function of a complete d = 3 family
+    counts = _family_counts(family_to_points(prime_mubs(3)))
+    f = TrigPolynomial.from_terms(2, counts, grid=3)
     report = pseudo_mub_check(f, 3)
     assert report.ok
     assert report.mass == 81.0 and report.origin_value == 9.0
@@ -586,18 +593,51 @@ def test_pseudo_mub_check_rejects_negative_weight():
     # a complete d = 3 family's difference counts, with one allowed point's
     # weight made negative: beyond -eps the support check fails, within it
     # the check passes
-    points = family_to_points(prime_mubs(3))
-    counts = {}
-    for p in points:
-        for q in points:
-            y = difference(p, q).coords
-            counts[y] = counts.get(y, 0.0) + 1.0
+    counts = _family_counts(family_to_points(prime_mubs(3)))
     assert pseudo_mub_check(TrigPolynomial.from_terms(2, counts, grid=3), 3).ok
     for weight, support_ok in [(-1.0, False), (-1e-6, False), (-1e-10, True)]:
         terms = dict(counts)
         terms[(1, 2)] = weight          # (1, 2) is ORT
         report = pseudo_mub_check(TrigPolynomial.from_terms(2, terms, grid=3), 3)
         assert report.support_ok is support_ok, weight
+
+
+def _family_candidate(p):
+    points = family_to_points(prime_mubs(p))
+    return p, TrigPolynomial.from_terms(p - 1, _family_counts(points), grid=p)
+
+
+def _random_candidate(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    rows = rng.integers(0, m, size=(40, d - 1)).tolist()
+    terms = {tuple(r): float(w) for r, w in zip(rows, rng.normal(size=40))}
+    return d, TrigPolynomial.from_terms(d - 1, terms, grid=m)
+
+
+# name -> (builder, whether the candidate is even)
+_TRANSFORM_CANDIDATES = {
+    "family3": (lambda: _family_candidate(3), True),
+    "family5": (lambda: _family_candidate(5), True),
+    "lp_dual_4_6": (lambda: (4, _certificate(4, 6)[1]), True),
+    "lp_dual_5_12": (lambda: (5, _certificate(5, 12)[1]), True),
+    "random_3_7": (lambda: _random_candidate(3, 7), False),
+    "random_4_6": (lambda: _random_candidate(4, 6), False),
+    "random_5_4": (lambda: _random_candidate(5, 4), False),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRANSFORM_CANDIDATES))
+def test_pseudo_mub_check_transform_matches_fftn_reference(name):
+    build, even = _TRANSFORM_CANDIDATES[name]
+    d, f = build()
+    assert f.even is even
+    m = f.grid
+    a = np.zeros((m,) * f.dim, dtype=complex)
+    for y, weight in f.terms.items():
+        a[y] += float(weight)
+    want = np.fft.fftn(a).conj()
+    assert np.array_equal(_transform(f, m), want)       # bitwise
+    assert pseudo_mub_check(f, d).min_transform == float(want.real.min())
 
 
 def test_pseudo_mub_check_rejects_rescaled_suboptimal_lp():

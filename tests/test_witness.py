@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs, prime_power_mubs
 from mublp.hadamard import family_to_points
 from mublp.torus import TorusPoint, difference, enumerate_grid
@@ -231,6 +232,42 @@ def test_delsarte_bound_rejects_bad_samples():
     forbidden = TorusPoint.exact(2, (0, 0, 0, 0, 1))
     report = delsarte_bound(expand_h(6), ort_ub_predicate(6), [forbidden])
     assert not report.valid
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_delsarte_bound_matches_scalar_eval_on_grid_samples(d, m):
+    # random grid points (h is far from 0 on most) and the ORT/UB points
+    h = expand_h(d)
+    rng = np.random.default_rng(1000 * d + m)
+    rows = rng.integers(0, m, size=(12, d - 1)).tolist()
+    part = enumerate_grid(d, m)
+    points = [TorusPoint.exact(m, r) for r in rows] + (part.ort + part.ub)[:12]
+    scalar = [eval_trig(h, p) for p in points]
+    assert abs(delsarte_bound(h, samples=points).max_sample_value
+               - max(scalar)) <= 1e-12
+    for p, want in list(zip(points, scalar))[:4]:
+        assert abs(delsarte_bound(h, samples=[p]).max_sample_value - want) <= 1e-12
+
+
+def test_delsarte_bound_rejects_unevaluable_samples():
+    h = expand_h(3)
+    with pytest.raises(ValueError):
+        delsarte_bound(h, samples=[TorusPoint.from_floats([0.1, 0.2])])
+    for other in (3, 8):                      # mixed denominators, 4 | 8 too
+        with pytest.raises(ValueError):
+            delsarte_bound(h, samples=[TorusPoint.exact(4, (1, 0)),
+                                       TorusPoint.exact(other, (1, 2))])
+    with pytest.raises(ValueError):           # wrong dimension
+        delsarte_bound(h, samples=[TorusPoint.exact(3, (1, 2, 0))])
+    grid_mode = TrigPolynomial.from_terms(2, {(0, 0): 1.0}, grid=4)
+    with pytest.raises(ValueError):
+        delsarte_bound(grid_mode, samples=[TorusPoint.from_floats([0.1, 0.2])])
+    with pytest.raises(ValueError):           # 3 does not divide 4
+        delsarte_bound(grid_mode, samples=[TorusPoint.exact(3, (1, 2))])
+    # the 5^11 sample cube is over the default budget: refused, not allocated
+    with pytest.raises(BudgetExceededError):
+        delsarte_bound(expand_h(12), samples=[TorusPoint.exact(5, (1,) * 11)])
 
 
 def test_delsarte_bound_exact_for_all_d():
