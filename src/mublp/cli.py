@@ -74,19 +74,12 @@ def cmd_construct(args) -> int:
     if args.kind == "prime":
         family = cons.prime_mubs(d)  # ValueError for non-prime -> usage error
     elif args.kind == "prime-power":
-        p = None
-        for cand in range(2, d + 1):
-            if cons.is_prime(cand):
-                k = 0
-                dd = d
-                while dd % cand == 0:
-                    dd //= cand
-                    k += 1
-                if dd == 1 and k >= 1:
-                    p = cand
-                    break
-        if p is None:
+        primes = cons._prime_divisors(d)
+        if len(primes) != 1:
             raise InputError(f"{d} is not a prime power")
+        p, k = primes[0], 1
+        while p ** k < d:
+            k += 1
         family = cons.prime_power_mubs(p, k)
     else:  # fourier
         family = had.MubFamily(
@@ -151,13 +144,15 @@ def cmd_grid(args) -> int:
 def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
+    budget = _budget(args)
     samples: list = []
     if args.sample_m > 1:
-        part = torus.enumerate_grid(d, args.sample_m, budget=_budget(args),
+        part = torus.enumerate_grid(d, args.sample_m, budget=budget,
                                     workers=args.workers)
         samples = part.ort + part.ub
     # enumerate_grid classified every sample exactly: all are ORT or UB
-    report = witness.delsarte_bound(poly, samples=samples, eps=_eps(args))
+    report = witness.delsarte_bound(poly, samples=samples, eps=_eps(args),
+                                    budget=budget)
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
     payload["constant_term"] = str(poly.constant_term())
@@ -241,7 +236,7 @@ def cmd_lp(args) -> int:
         max_rounds=max_rounds,
         add_per_round=args.add_per_round,
         checkpoint_dir=args.checkpoint_dir,
-        progress=True if args.progress or args.m >= 12 else None,
+        progress=args.progress or args.m >= 12,
     )
     if sol.status != "optimal":
         # M is nan here, which has no JSON form
@@ -362,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
     p.add_argument("--eps-feas", type=float, default=None,
-                   help="constraint feasibility tolerance (default 1e-7)")
+                   help="constraint feasibility tolerance, at least 1e-8 "
+                   "(default 1e-7)")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--add-per-round", type=int, default=DEFAULT_LP_ADD_PER_ROUND)
     p.add_argument("--no-orbit-symmetry", action="store_true",

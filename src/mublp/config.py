@@ -1,8 +1,9 @@
 """Shared tolerances, resource budgets, and environment overrides.
 
-Every budget/tolerance here can be overridden by an ``MUBLP_*`` environment
-variable; the CLI additionally exposes a flag for each one (flags win over
-the environment).
+Every budget/tolerance here except ``DEFAULT_LP_ADD_PER_ROUND`` can be
+overridden by an ``MUBLP_*`` environment variable; the CLI exposes a flag for
+each one (flags win over the environment; ``--add-per-round`` has no
+environment variable).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 DEFAULT_EPS = 1e-9              # floating classification / verification tolerance
 DEFAULT_EPS_FEAS = 1e-7         # LP constraint feasibility tolerance
-DEFAULT_PIVOT_EPS = 1e-10       # simplex pivot tolerance
 DEFAULT_ENUM_BUDGET = 20_000_000    # grid points per enumeration
 DEFAULT_SIDON_BUDGET = 5_000_000    # backtracking nodes
 DEFAULT_LP_MAX_ROUNDS = 500

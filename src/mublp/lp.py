@@ -27,7 +27,7 @@ Orbits are arrays: ``OrbitTable`` holds the members of all orbits in one
 (N, d-1) matrix, grouped by orbit, which the LP uses as it is.
 
 The solver is a constraint-generation loop: solve the restricted LP with the
-bounded revised simplex, scan the transform at *every* character, add the
+revised simplex on x >= 0, scan the transform at *every* character, add the
 most-violated deduplicated characters, repeat.  With symmetry, f is
 invariant under coordinate permutations and so is fhat, so the scan only
 needs the C(m+d-2, d-1) sorted characters: ``multiset_fft`` transforms one
@@ -86,6 +86,9 @@ from .torus import (
 from .witness import TrigPolynomial, _transform, delsarte_bound
 
 _WEIGHT_BOX = 2.0
+# a generated row counts as met down to -ROW_TOL; a feasibility tolerance
+# below it could let the scan flag a row the restricted master already meets
+ROW_TOL = 1e-8
 _CHUNK = 1 << 14    # characters canonicalised per vectorised step (bounds memory)
 
 
@@ -497,16 +500,19 @@ def solve_lp(
     max_rounds: int = DEFAULT_LP_MAX_ROUNDS,
     add_per_round: int = DEFAULT_LP_ADD_PER_ROUND,
     checkpoint_dir: str | None = None,
-    progress=None,
+    progress: bool = False,
 ) -> LpSolution:
     """Constraint-generation solve; see the module docstring.
 
-    ``progress`` may be a callable taking a message, or True for stderr
-    lines.  ``checkpoint_dir`` persists the generated constraint set between
-    rounds so long jobs can resume.
+    ``progress`` prints one line per round on stderr.  ``checkpoint_dir``
+    persists the generated constraint set between rounds so long jobs can
+    resume.  ``eps_feas`` below ``ROW_TOL``, or ``max_rounds`` or
+    ``add_per_round`` below 1, is a ``ValueError``.
     """
-    if progress is True:
-        progress = lambda msg: print(msg, file=sys.stderr, flush=True)
+    if not eps_feas >= ROW_TOL:
+        raise ValueError(f"eps_feas must be at least {ROW_TOL:g}, got {eps_feas:g}")
+    if max_rounds < 1 or add_per_round < 1:
+        raise ValueError("max_rounds and add_per_round must be at least 1")
     d, m = problem.d, problem.m
     n = d - 1
     n_orb = problem.n_orbits
@@ -520,7 +526,8 @@ def solve_lp(
             reps = loaded
             A = np.array([problem.constraint_row(g) for g in reps])
             if progress:
-                progress(f"resumed from checkpoint with {len(reps)} constraints")
+                print(f"resumed from checkpoint with {len(reps)} constraints",
+                      file=sys.stderr, flush=True)
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rep_codes = {int(np.dot(g, place)) for g in reps}
 
@@ -557,10 +564,7 @@ def solve_lp(
                     basis >= solved_rows, basis + r - solved_rows, basis
                 )
             try:
-                result = solve_equality_form(
-                    G, c, cd, np.zeros(r + 2 * n_orb),
-                    np.full(r + 2 * n_orb, np.inf), basis,
-                )
+                result = solve_equality_form(G, c, cd, basis)
             except ValueError as exc:
                 # the basis is built here, so a rejected basis is a bug here
                 raise AssertionError(f"restricted master: {exc}") from exc
@@ -581,7 +585,7 @@ def solve_lp(
             mu = result.x[r : r + n_orb]
             weights = np.clip(-result.duals, 0.0, _WEIGHT_BOX)
             restricted_resid = float((A @ weights + 1.0).min())
-            if restricted_resid < -1e-8:
+            if restricted_resid < -ROW_TOL:
                 raise AssertionError(
                     f"recovered weights violate a generated row by "
                     f"{restricted_resid:.3e}"
@@ -591,9 +595,10 @@ def solve_lp(
         scan = _transform_scan(problem, weights)
         worst = float(scan.min())
         if progress:
-            progress(
+            print(
                 f"round={rounds} rows={r} M={1.0 + float(c @ weights):.6f} "
-                f"min_fhat={worst:.3e}"
+                f"min_fhat={worst:.3e}",
+                file=sys.stderr, flush=True,
             )
         violated = np.flatnonzero(scan < -eps_feas)
         if violated.size == 0:

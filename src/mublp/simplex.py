@@ -1,8 +1,8 @@
-"""Dense bounded-variable revised simplex for maximisation.
+"""Dense revised simplex for maximisation in standard form.
 
-Solves   max c.x   subject to   A x = b,   lower <= x <= upper,
+Solves   max c.x   subject to   A x = b,   x >= 0,
 starting from a caller-supplied feasible basis (the LP driver always has a
-slack basis available).
+slack basis available).  Nonbasic variables sit at exactly zero.
 
 Numerical safeguards:
 
@@ -17,6 +17,11 @@ Numerical safeguards:
   * Bland's rule replaces Dantzig pricing after a configurable number of
     degenerate pivots (anti-cycling).
 
+The solve ends unbounded when no row blocks the entering column (confirmed
+on a fresh factorisation), or when no blocking row is admissible in pass
+two, which happens only when a basic variable has drifted below
+-_BOUND_RELAX.
+
 Tie-breaking is by lowest variable index everywhere, so runs are
 deterministic.
 """
@@ -27,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_PIVOT_EPS
-
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+_EPS_COST = 1e-9             # reduced cost needed to enter the basis
+_EPS_PIVOT = 1e-10           # ratio-test pivot tolerance
 _REFACTOR_EVERY = 100
 _BOUND_RELAX = 1e-9          # Harris pass-one bound relaxation
 _SMALL_PIVOT = 1e-7          # refactor after pivoting this small
@@ -55,20 +59,14 @@ def solve_equality_form(
     A,
     b,
     c,
-    lower,
-    upper,
     basis,
     *,
-    eps_cost: float = 1e-9,
-    eps_pivot: float = DEFAULT_PIVOT_EPS,
     max_iterations: int | None = None,
     bland_after: int | None = None,
 ) -> SimplexResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     rows, ncols = A.shape
     basis = np.asarray(basis, dtype=np.int64).copy()
     if basis.size != rows:
@@ -78,21 +76,18 @@ def solve_equality_form(
     if bland_after is None:
         bland_after = 5 * (rows + ncols)
 
-    status = np.full(ncols, _AT_LOWER, dtype=np.int8)
-    status[basis] = _BASIC
-    x = lower.copy()
-    binv = np.linalg.inv(A[:, basis])
+    basic = np.zeros(ncols, dtype=bool)
+    basic[basis] = True
+    x = np.zeros(ncols)
 
     def refactor() -> None:
         nonlocal binv
         binv = np.linalg.inv(A[:, basis])
-        nonbasic_term = A @ np.where(status == _BASIC, 0.0, x)
-        x[basis] = binv @ (b - nonbasic_term)
+        x[basis] = binv @ b
 
+    binv = None
     refactor()
-    if np.any(x[basis] < lower[basis] - 1e-7) or np.any(
-        x[basis] > upper[basis] + 1e-7
-    ):
+    if np.any(x[basis] < -1e-7):
         raise ValueError("initial basis is not feasible")
 
     iterations = 0
@@ -110,9 +105,7 @@ def solve_equality_form(
             return result(ITERATION_LIMIT, c[basis] @ binv)
         y = c[basis] @ binv
         reduced = c - y @ A
-        can_increase = (status == _AT_LOWER) & (reduced > eps_cost)
-        can_decrease = (status == _AT_UPPER) & (reduced < -eps_cost)
-        eligible = can_increase | can_decrease
+        eligible = ~basic & (reduced > _EPS_COST)
         if not eligible.any():
             # verify against a fresh factorisation before declaring optimality
             residual = float(np.max(np.abs(A @ x - b), initial=0.0))
@@ -126,27 +119,19 @@ def solve_equality_form(
         if bland:
             entering = int(np.flatnonzero(eligible)[0])
         else:
-            score = np.where(eligible, np.abs(reduced), -1.0)
-            entering = int(np.argmax(score))
-        sigma = 1.0 if status[entering] == _AT_LOWER else -1.0
+            entering = int(np.argmax(np.where(eligible, reduced, -1.0)))
 
         u = binv @ A[:, entering]
-        step = sigma * u
-        flip_t = upper[entering] - lower[entering]
 
         # Harris pass one: tightest step with relaxed bounds, over all rows
-        xb, lb, ub = x[basis], lower[basis], upper[basis]
-        to_lower = step > eps_pivot
-        to_upper = (step < -eps_pivot) & ~np.isinf(ub)
-        blocking = to_lower | to_upper
-        gap = np.where(to_lower, xb - lb, ub - xb)
-        size = np.abs(step)
-        t_relaxed = np.divide(gap + _BOUND_RELAX, size,
+        xb = x[basis]
+        blocking = u > _EPS_PIVOT
+        t_relaxed = np.divide(xb + _BOUND_RELAX, u,
                               out=np.full(rows, np.inf), where=blocking)
         t_exact = np.maximum(
-            np.divide(gap, size, out=np.full(rows, np.inf), where=blocking), 0.0
+            np.divide(xb, u, out=np.full(rows, np.inf), where=blocking), 0.0
         )
-        t_limit = min(flip_t, float(t_relaxed.min(initial=np.inf)))
+        t_limit = float(t_relaxed.min(initial=np.inf))
         if np.isinf(t_limit):
             if pivots_since_refactor > 0:
                 # rule out basis-inverse drift before declaring unboundedness
@@ -158,11 +143,10 @@ def solve_equality_form(
         # Harris pass two: among admissible rows, in row order, take the
         # largest pivot (ties to the lowest basis index; Bland: lowest index)
         leave_row = -1
-        leave_to_upper = False
         best_pivot = 0.0
-        t_best = flip_t
+        t_best = np.inf
         for i in np.flatnonzero(blocking & (t_exact <= t_limit)).tolist():
-            pivot_mag = size[i]
+            pivot_mag = u[i]
             better = (
                 pivot_mag > best_pivot + 1e-12
                 if not bland
@@ -172,32 +156,23 @@ def solve_equality_form(
                 and basis[i] < basis[leave_row]
             if leave_row < 0 or better or (not bland and tie):
                 leave_row = i
-                leave_to_upper = bool(to_upper[i])
                 best_pivot = pivot_mag
                 t_best = float(t_exact[i])
-        if leave_row < 0 or flip_t < t_best:
-            # bound flip, no basis change
-            if np.isinf(flip_t):
-                return result(UNBOUNDED, y)
-            iterations += 1
-            if flip_t <= 1e-12:
-                degenerate += 1
-            x[entering] += sigma * flip_t
-            x[basis] -= step * flip_t
-            status[entering] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            x[entering] = upper[entering] if sigma > 0 else lower[entering]
-            continue
+        if leave_row < 0:
+            # no admissible row; a basic below -_BOUND_RELAX makes t_limit
+            # negative, so a bounded LP can also end here
+            return result(UNBOUNDED, y)
 
         iterations += 1
         if t_best <= 1e-12:
             degenerate += 1
-        x[entering] += sigma * t_best
-        x[basis] -= step * t_best
+        x[entering] += t_best
+        x[basis] -= u * t_best
         leaving = basis[leave_row]
-        status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
-        x[leaving] = upper[leaving] if leave_to_upper else lower[leaving]
+        basic[leaving] = False
+        x[leaving] = 0.0
         basis[leave_row] = entering
-        status[entering] = _BASIC
+        basic[entering] = True
 
         pivot = u[leave_row]
         pivots_since_refactor += 1

@@ -299,6 +299,7 @@ def delsarte_bound(
     allowed=None,
     samples=(),
     eps: float = DEFAULT_EPS,
+    budget: int | None = None,
 ) -> DelsarteReport:
     """Validate witness conditions and return h(0)/hhat(0).
 
@@ -312,7 +313,8 @@ def delsarte_bound(
     integer array of residues (without ``allowed``).  All values come from one
     ``_transform`` on ``t.grid``, or for a continuous ``t`` on the samples'
     shared denominator (float samples or mixed denominators: ``ValueError``;
-    a cube over ``DEFAULT_ENUM_BUDGET`` points: ``BudgetExceededError``).
+    a cube over ``budget`` points, ``DEFAULT_ENUM_BUDGET`` when None:
+    ``BudgetExceededError``).
     """
     grid = t.grid
     if isinstance(samples, np.ndarray):
@@ -331,7 +333,8 @@ def delsarte_bound(
             if None in denominators or len(denominators) > 1:
                 raise ValueError("continuous witness: samples need one exact denominator")
             grid = denominators.pop() if denominators else 1
-            _check_budget(t.dim + 1, grid, DEFAULT_ENUM_BUDGET)
+            _check_budget(t.dim + 1, grid,
+                          DEFAULT_ENUM_BUDGET if budget is None else budget)
         rows = [_grid_residues(p, grid) for p in samples]
         residues = np.array(rows, dtype=np.int64).reshape(len(rows), t.dim)
     messages = []

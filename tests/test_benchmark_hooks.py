@@ -30,3 +30,32 @@ def test_every_traced_layer_has_a_resolving_call_site(tracing):
         if all(tracing._resolve(site) is None for site in sites)
     ]
     assert missing == []
+
+
+def test_simplex_hook_counts_the_generated_rows(tracing, monkeypatch, tmp_path):
+    # the hook reads lp.rows_generated off the master's shape, cols - 2 * rows;
+    # the checkpoint, written before every re-solve, holds the rows themselves
+    import mublp.lp as lpmod
+
+    problem = lpmod.build_pseudo_mub_lp(5, 12, lpmod.build_orbits(5, 12))
+    real = lpmod.solve_equality_form
+    counts = []
+
+    class Tracer:
+        last_rows = 0
+
+        def count(self, name, value):
+            pass
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        tracer = Tracer()
+        tracing._simplex(tracer, args, kwargs, result)
+        rows = len(lpmod._load_checkpoint(str(tmp_path), problem))
+        counts.append((tracer.last_rows, rows))
+        return result
+
+    monkeypatch.setattr(lpmod, "solve_equality_form", recording)
+    assert lpmod.solve_lp(problem, checkpoint_dir=str(tmp_path)).status == "optimal"
+    assert len(counts) >= 2
+    assert all(hook == rows for hook, rows in counts), counts

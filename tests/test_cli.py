@@ -47,6 +47,19 @@ def test_construct_prime_power(run_cli, tmp_path):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("d,code", [(1, 2), (6, 2), (8, 0), (9, 0), (12, 2)])
+def test_construct_prime_power_exits(tmp_path, capsys, d, code):
+    out = str(tmp_path / "fam.json")
+    assert cli.main(["construct", "--d", str(d), "--kind", "prime-power",
+                     "--out", out]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: {d} is not a prime power\n"
+    else:
+        payload = json.loads(open(out).read())
+        assert payload["count"] == d and payload["verified"]
+
+
 def test_witness_d6(run_cli):
     code, out, err = run_cli("witness", "--d", 6)
     assert code == 0, err
@@ -259,6 +272,45 @@ def test_witness_takes_its_samples_as_classified(capsys, monkeypatch):
     grid = enumerate_grid(5, 6)
     assert payload["sample_count"] == len(grid.ort) + len(grid.ub)
     assert abs(payload["max_sample_value"]) < 1e-9
+
+
+def test_witness_sample_cube_honours_enum_budget(capsys, monkeypatch):
+    # the 6^3 sample cube is over the patched default but within the flag
+    monkeypatch.setattr(witnessmod, "DEFAULT_ENUM_BUDGET", 100)
+    assert cli.main(["witness", "--d", "4", "--sample-m", "6",
+                     "--enum-budget", "1000"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["valid"]
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["--eps-feas", "0"], {}, cli.EXIT_USAGE),
+    (["--eps-feas", "-1"], {}, cli.EXIT_USAGE),
+    (["--eps-feas", "9e-9"], {}, cli.EXIT_USAGE),
+    (["--eps-feas", "nan"], {}, cli.EXIT_USAGE),
+    ([], {"MUBLP_EPS_FEAS": "-1"}, cli.EXIT_USAGE),
+    (["--max-rounds", "0"], {}, cli.EXIT_USAGE),
+    ([], {"MUBLP_LP_MAX_ROUNDS": "0"}, cli.EXIT_USAGE),
+    (["--add-per-round", "0"], {}, cli.EXIT_USAGE),
+    (["--add-per-round", "-3"], {}, cli.EXIT_USAGE),
+    # the smallest accepted values
+    (["--eps-feas", str(lpmod.ROW_TOL), "--add-per-round", "1"], {}, cli.EXIT_OK),
+    (["--max-rounds", "1"], {}, cli.EXIT_CHECK_FAILED),
+])
+def test_out_of_range_lp_options_are_usage_errors(capsys, monkeypatch, argv,
+                                                  env, code):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(["lp", "--d", "4", "--m", "6", *argv]) == code
+    out, err = capsys.readouterr()
+    assert "internal" not in err
+    if code == cli.EXIT_USAGE:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif code == cli.EXIT_OK:
+        problem = lpmod.build_pseudo_mub_lp(4, 6, lpmod.build_orbits(4, 6))
+        assert json.loads(out)["M"] == pytest.approx(
+            lpmod.solve_lp(problem).M, abs=1e-9)
+    else:
+        assert err == "error: no convergence after 1 constraint-generation rounds\n"
 
 
 _REQUIRED_ARGS = {

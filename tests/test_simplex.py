@@ -3,12 +3,10 @@ import pytest
 from scipy.optimize import linprog
 
 import mublp.lp as lpmod
-from mublp.config import DEFAULT_PIVOT_EPS
 from mublp.simplex import (
-    _AT_LOWER,
-    _AT_UPPER,
-    _BASIC,
     _BOUND_RELAX,
+    _EPS_COST,
+    _EPS_PIVOT,
     _REFACTOR_EVERY,
     _RESIDUAL_TOL,
     _SMALL_PIVOT,
@@ -20,14 +18,22 @@ from mublp.simplex import (
 )
 
 
-def _solve_inequality(A, b, c, ub):
-    """max c.x  s.t.  A x >= b,  0 <= x <= ub, via the equality-form solver."""
+def _standard_form(A, b, c, ub):
+    """max c.x  s.t.  A x >= b,  0 <= x <= ub  as  W z = rhs, z >= 0.
+
+    The columns are x, one surplus per row of A and one slack per box
+    x <= ub; the surplus and box slacks form the starting basis (b <= 0).
+    """
     r, n = A.shape
-    W = np.hstack([A, -np.eye(r)])
-    lower = np.zeros(n + r)
-    upper = np.concatenate([ub, np.full(r, np.inf)])
-    cc = np.concatenate([c, np.zeros(r)])
-    return solve_equality_form(W, b, cc, lower, upper, np.arange(n, n + r))
+    W = np.block([[A, -np.eye(r), np.zeros((r, n))],
+                  [np.eye(n), np.zeros((n, r)), np.eye(n)]])
+    rhs = np.concatenate([b, ub])
+    cc = np.concatenate([c, np.zeros(r + n)])
+    return W, rhs, cc, np.arange(n, n + r + n)
+
+
+def _solve_inequality(A, b, c, ub):
+    return solve_equality_form(*_standard_form(A, b, c, ub))
 
 
 def test_toy_problem_with_duals():
@@ -38,15 +44,6 @@ def test_toy_problem_with_duals():
     assert res.status == OPTIMAL
     assert abs(res.objective - 1.0) < 1e-9
     assert abs(-res.duals[0] - 1.0) < 1e-9
-
-
-def test_bound_flip_path():
-    # unconstrained by rows; optimum is the upper bounds
-    A = np.array([[1.0, 1.0]])
-    res = _solve_inequality(A, np.array([-100.0]), np.array([3.0, 2.0]),
-                            np.array([1.5, 2.5]))
-    assert res.status == OPTIMAL
-    assert abs(res.objective - (3 * 1.5 + 2 * 2.5)) < 1e-9
 
 
 def test_matches_scipy_on_random_instances():
@@ -87,14 +84,27 @@ def test_matches_scipy_on_degenerate_duplicated_rows():
 
 def test_unbounded_detection():
     # max x with x >= 0 free above and a vacuous row
-    A = np.array([[1.0]])
-    r, n = 1, 1
-    W = np.hstack([A, -np.eye(r)])
+    W = np.array([[1.0, -1.0]])
     res = solve_equality_form(
-        W, np.array([-1.0]), np.array([1.0, 0.0]),
-        np.zeros(2), np.array([np.inf, np.inf]), np.array([1]),
+        W, np.array([-1.0]), np.array([1.0, 0.0]), np.array([1]),
     )
     assert res.status == "unbounded"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_slightly_negative_basic_is_not_unbounded():
+    # columns (x1, x3, s1, s2):  x1 + s1 = 1,  x1 - x3 + s2 = -1e-8.  The start
+    # {s1, s2} has s2 = -1e-8, inside the feasibility check, and the optimum
+    # is x1 = 1 (x3 = 1 + 1e-8).  s2 makes Harris' t_limit negative, so no
+    # row is admissible when x1 enters.
+    W = np.array([[1.0, 0.0, 1.0, 0.0],
+                  [1.0, -1.0, 0.0, 1.0]])
+    res = solve_equality_form(
+        W, np.array([1.0, -1e-8]), np.array([1.0, 0.0, 0.0, 0.0]),
+        np.array([2, 3]),
+    )
+    assert res.status == OPTIMAL
+    assert abs(res.objective - 1.0) < 1e-9
 
 
 def test_iteration_limit():
@@ -104,23 +114,20 @@ def test_iteration_limit():
         A, -np.ones(6), np.abs(rng.normal(size=8)), np.full(8, 2.0)
     )
     assert res.status == OPTIMAL
-    W = np.hstack([A, -np.eye(6)])
     limited = solve_equality_form(
-        W, -np.ones(6), np.concatenate([np.abs(rng.normal(size=8)), np.zeros(6)]),
-        np.zeros(14), np.concatenate([np.full(8, 2.0), np.full(6, np.inf)]),
-        np.arange(8, 14), max_iterations=1,
+        *_standard_form(A, -np.ones(6), np.abs(rng.normal(size=8)),
+                        np.full(8, 2.0)),
+        max_iterations=1,
     )
     assert limited.status == ITERATION_LIMIT
 
 
 def test_rejects_infeasible_start():
-    A = np.array([[1.0]])
-    W = np.hstack([A, -np.eye(1)])
+    W = np.array([[1.0, -1.0]])
     with pytest.raises(ValueError):
-        # b = +1 makes the slack start negative
+        # b = +1 makes the surplus start negative
         solve_equality_form(
-            W, np.array([1.0]), np.array([1.0, 0.0]),
-            np.zeros(2), np.array([2.0, np.inf]), np.array([1]),
+            W, np.array([1.0]), np.array([1.0, 0.0]), np.array([1]),
         )
 
 
@@ -132,20 +139,14 @@ def loop_solve_equality_form(
     A,
     b,
     c,
-    lower,
-    upper,
     basis,
     *,
-    eps_cost: float = 1e-9,
-    eps_pivot: float = DEFAULT_PIVOT_EPS,
     max_iterations: int | None = None,
     bland_after: int | None = None,
 ) -> SimplexResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     rows, ncols = A.shape
     basis = np.asarray(basis, dtype=np.int64).copy()
     if basis.size != rows:
@@ -155,21 +156,18 @@ def loop_solve_equality_form(
     if bland_after is None:
         bland_after = 5 * (rows + ncols)
 
-    status = np.full(ncols, _AT_LOWER, dtype=np.int8)
-    status[basis] = _BASIC
-    x = lower.copy()
-    binv = np.linalg.inv(A[:, basis])
+    basic = np.zeros(ncols, dtype=bool)
+    basic[basis] = True
+    x = np.zeros(ncols)
+    binv = None
 
     def refactor() -> None:
         nonlocal binv
         binv = np.linalg.inv(A[:, basis])
-        nonbasic_term = A @ np.where(status == _BASIC, 0.0, x)
-        x[basis] = binv @ (b - nonbasic_term)
+        x[basis] = binv @ b
 
     refactor()
-    if np.any(x[basis] < lower[basis] - 1e-7) or np.any(
-        x[basis] > upper[basis] + 1e-7
-    ):
+    if np.any(x[basis] < -1e-7):
         raise ValueError("initial basis is not feasible")
 
     iterations = 0
@@ -187,9 +185,7 @@ def loop_solve_equality_form(
             return result(ITERATION_LIMIT, c[basis] @ binv)
         y = c[basis] @ binv
         reduced = c - y @ A
-        can_increase = (status == _AT_LOWER) & (reduced > eps_cost)
-        can_decrease = (status == _AT_UPPER) & (reduced < -eps_cost)
-        eligible = can_increase | can_decrease
+        eligible = ~basic & (reduced > _EPS_COST)
         if not eligible.any():
             # verify against a fresh factorisation before declaring optimality
             residual = float(np.max(np.abs(A @ x - b), initial=0.0))
@@ -205,32 +201,19 @@ def loop_solve_equality_form(
         else:
             score = np.where(eligible, np.abs(reduced), -1.0)
             entering = int(np.argmax(score))
-        sigma = 1.0 if status[entering] == _AT_LOWER else -1.0
 
         u = binv @ A[:, entering]
-        step = sigma * u
-        flip_t = upper[entering] - lower[entering]
 
         # Harris pass one: tightest step with relaxed bounds
-        t_limit = flip_t
-        candidates = []  # (row, t_exact, hits_upper, |pivot|)
+        t_limit = np.inf
+        candidates = []  # (row, t_exact, pivot)
         for i in range(rows):
-            si = step[i]
-            bi = basis[i]
-            if si > eps_pivot:
-                t_relaxed = (x[bi] - lower[bi] + _BOUND_RELAX) / si
-                t_exact = max((x[bi] - lower[bi]) / si, 0.0)
-                hits_upper = False
-            elif si < -eps_pivot:
-                if np.isinf(upper[bi]):
-                    continue
-                t_relaxed = (upper[bi] - x[bi] + _BOUND_RELAX) / (-si)
-                t_exact = max((upper[bi] - x[bi]) / (-si), 0.0)
-                hits_upper = True
-            else:
+            ui = u[i]
+            if ui <= _EPS_PIVOT:
                 continue
-            t_limit = min(t_limit, t_relaxed)
-            candidates.append((i, t_exact, hits_upper, abs(si)))
+            xi = x[basis[i]]
+            t_limit = min(t_limit, (xi + _BOUND_RELAX) / ui)
+            candidates.append((i, max(xi / ui, 0.0), ui))
         if np.isinf(t_limit):
             if pivots_since_refactor > 0:
                 # rule out basis-inverse drift before declaring unboundedness
@@ -241,10 +224,9 @@ def loop_solve_equality_form(
 
         # Harris pass two: among admissible rows take the largest pivot
         leave_row = -1
-        leave_to_upper = False
         best_pivot = 0.0
-        t_best = flip_t
-        for i, t_exact, hits_upper, pivot_mag in candidates:
+        t_best = np.inf
+        for i, t_exact, pivot_mag in candidates:
             if t_exact > t_limit:
                 continue
             better = (
@@ -256,32 +238,21 @@ def loop_solve_equality_form(
                 and basis[i] < basis[leave_row]
             if leave_row < 0 or better or (not bland and tie):
                 leave_row = i
-                leave_to_upper = hits_upper
                 best_pivot = pivot_mag
                 t_best = t_exact
-        if leave_row < 0 or flip_t < t_best:
-            # bound flip, no basis change
-            if np.isinf(flip_t):
-                return result(UNBOUNDED, y)
-            iterations += 1
-            if flip_t <= 1e-12:
-                degenerate += 1
-            x[entering] += sigma * flip_t
-            x[basis] -= step * flip_t
-            status[entering] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            x[entering] = upper[entering] if sigma > 0 else lower[entering]
-            continue
+        if leave_row < 0:
+            return result(UNBOUNDED, y)
 
         iterations += 1
         if t_best <= 1e-12:
             degenerate += 1
-        x[entering] += sigma * t_best
-        x[basis] -= step * t_best
+        x[entering] += t_best
+        x[basis] -= u * t_best
         leaving = basis[leave_row]
-        status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
-        x[leaving] = upper[leaving] if leave_to_upper else lower[leaving]
+        basic[leaving] = False
+        x[leaving] = 0.0
         basis[leave_row] = entering
-        status[entering] = _BASIC
+        basic[entering] = True
 
         pivot = u[leave_row]
         pivots_since_refactor += 1
@@ -316,11 +287,10 @@ def test_array_ratio_test_matches_loop_on_random_bounded_lps():
             # repeated rows and rounded entries give ties in both passes
             A = np.round(np.vstack([A, A[: r // 2 + 1]]), 1)
             r = len(A)
-        W = np.hstack([A, -np.eye(r)])
         b = -rng.uniform(0.2, 2.0, size=r)
-        c = np.concatenate([rng.normal(size=n), np.zeros(r)])
-        upper = np.concatenate([rng.uniform(0.5, 3.0, size=n), np.full(r, np.inf)])
-        args = (W, b, c, np.zeros(n + r), upper, np.arange(n, n + r))
+        c = rng.normal(size=n)
+        # the boxes x <= ub are rows with their own slacks
+        args = _standard_form(A, b, c, rng.uniform(0.5, 3.0, size=n))
         _assert_same_run(args)
         _assert_same_run(args, {"bland_after": 0})
 
