@@ -4,20 +4,26 @@ Complete families of d+1 mutually unbiased bases exist whenever d is a prime
 or a prime power.  The families built here are the standard ones from the
 literature:
 
-  * odd prime p:        H'_k[l, j] = w^(k*l^2 + j*l), w = e^(2*pi*i/p),
-                        for k = 0..p-1 (k = 0 is the Fourier matrix);
-  * p = 2:              quartic phases H'_k[l, j] = i^(l*(2*j + k*l));
-  * odd prime power:    H'_a[x, b] = w^(tr(a*x^2 + b*x)) over GF(p^k) with
-                        the absolute trace tr;
-  * powers of two:      H'_a[x, b] = i^(Tr((a + 2*b)*x)) over the Galois ring
+  * odd d = p^k:        H'_a[x, b] = w^(tr(a*x^2 + b*x)) over GF(p^k) with
+                        the absolute trace tr and w = e^(2*pi*i/p)
+                        (Wootters-Fields; for k = 1, H'_a[x, b] =
+                        w^(a*x^2 + b*x) and a = 0 is the Fourier matrix);
+  * d = 2^k:            H'_a[x, b] = i^(Tr((a + 2*b)*x)) over the Galois ring
                         GR(4, k), rows/columns indexed by the Teichmueller
-                        set, Tr the ring trace.
+                        set T, Tr the ring trace (Klappenecker-Roetteler).
+
+Both are built from two tables over the index set (the GF(p^k) elements, or
+T, whose nonzero elements are powers of xi, so products add exponents): the
+product table and the trace of each element.  The trace is additive, so
+every phase is tr(a*x^2) + tr(b*x) mod p, or Tr(a*x) + 2 Tr(b*x) mod 4, and
+each matrix is one numpy gather from the table of tr(a*x).  A prime p is the
+case k = 1.
 
 These formulas are treated as external input: every family is verified
 in full (Hadamard + pairwise unbiasedness) before being returned, and a
 verification failure raises instead of returning a bad family.
 
-The k = 0 (resp. a = 0) matrix comes first so the first matrix has an
+The a = 0 matrix comes first so the first matrix has an
 all-ones first column, matching the dephasing convention that the first
 associated torus point is the origin.
 """
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +65,10 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # GF(p^k)
+
+
+def _pad(a, k: int) -> tuple[int, ...]:
+    return tuple(a) + (0,) * (k - len(a))
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -163,7 +172,6 @@ class GaloisField:
         self.modulus = self._find_modulus()
         self._mod_list = list(self.modulus.coeffs)
         self.elements = [self._digits(i) for i in range(self.size)]
-        self._trace_cache: dict[tuple[int, ...], int] = {}
 
     def _digits(self, i: int) -> tuple[int, ...]:
         out = []
@@ -179,33 +187,24 @@ class GaloisField:
                 return IntPolynomial.from_coeffs(f)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
-    def _pad(self, a) -> tuple[int, ...]:
-        a = tuple(a)
-        return a + (0,) * (self.k - len(a))
-
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return self._pad(_poly_mulmod(list(a), list(b), self._mod_list, self.p))
+        return _pad(_poly_mulmod(list(a), list(b), self._mod_list, self.p), self.k)
 
     def pow(self, a, e: int) -> tuple[int, ...]:
-        return self._pad(_poly_powmod(list(a), e, self._mod_list, self.p))
+        return _pad(_poly_powmod(list(a), e, self._mod_list, self.p), self.k)
 
     def trace(self, a) -> int:
         """Absolute trace to F_p: sum of the k Frobenius images."""
         a = tuple(a)
-        cached = self._trace_cache.get(a)
-        if cached is not None:
-            return cached
-        acc = a
-        frob = a
+        acc = frob = a
         for _ in range(self.k - 1):
             frob = self.pow(frob, self.p)
             acc = self.add(acc, frob)
         if any(acc[1:]):
             raise RuntimeError(f"trace of {a} did not land in the prime field")
-        self._trace_cache[a] = acc[0]
         return acc[0]
 
 
@@ -214,32 +213,40 @@ class GaloisField:
 
 
 class _GaloisRing4:
-    """The Galois ring GR(4, k) = Z_4[x]/(f) with Teichmueller machinery.
+    """The Teichmueller set of the Galois ring GR(4, k) = Z_4[x]/(f).
 
     f is the Hensel lift (via the even/odd-part squaring identity) of the
     least primitive polynomial of degree k over F_2, so xi = x has
     multiplicative order 2^k - 1 and the Teichmueller set
     T = {0, 1, xi, ..., xi^(2^k - 2)} maps bijectively onto GF(2^k) mod 2.
+    ``traces[i]`` is the ring trace of ``teichmuller[i]``: on T the Frobenius
+    is squaring, so Tr(xi^e) is the sum of xi^(e * 2^i mod (2^k - 1)), i < k.
     """
 
     def __init__(self, k: int):
         self.k = k
-        base = self._find_primitive_base(k)
-        self.modulus = self._hensel_lift(base)
-        self._mod_list = list(self.modulus)
-        xi = self._reduce([0, 1]) if k > 1 else self._reduce([-self.modulus[0]])
-        teich = [(0,) * k, self._pad([1])]
-        cur = teich[1]
+        self.modulus = self._hensel_lift(self._find_primitive_base(k))
+        one = _pad([1], k)
+        teich = [(0,) * k, one]
         for _ in range(2**k - 2):
-            cur = self.mul(cur, xi)
-            teich.append(cur)
-        if len(set(teich)) != 2**k or self.mul(cur, xi) != teich[1]:
+            teich.append(self._times_xi(teich[-1]))
+        if len(set(teich)) != 2**k or self._times_xi(teich[-1]) != one:
             raise RuntimeError("Teichmueller set construction failed")
-        self.teichmuller = teich
-        self._by_mod2 = {tuple(c % 2 for c in t): t for t in teich}
-        if len(self._by_mod2) != 2**k:
+        if len({tuple(c % 2 for c in t) for t in teich}) != 2**k:
             raise RuntimeError("Teichmueller set is not a transversal mod 2")
-        self._trace_cache: dict[tuple[int, ...], int] = {}
+        self.teichmuller = teich
+        n = 2**k - 1
+        self.traces = [0]
+        for e in range(n):
+            images = [teich[1 + (e << i) % n] for i in range(k)]
+            acc = [sum(column) % 4 for column in zip(*images)]
+            if any(acc[1:]):
+                raise RuntimeError(f"trace of {teich[1 + e]} did not land in Z_4")
+            self.traces.append(acc[0])
+
+    def _times_xi(self, a) -> tuple[int, ...]:
+        # the lifted modulus is monic, so reduction mod f works over Z_4
+        return _pad(_poly_mulmod(list(a), [0, 1], self.modulus, 4), self.k)
 
     @staticmethod
     def _find_primitive_base(k: int) -> list[int]:
@@ -285,62 +292,6 @@ class _GaloisRing4:
             raise RuntimeError("Hensel lift does not reduce to the base polynomial")
         return lifted
 
-    def _pad(self, a) -> tuple[int, ...]:
-        a = [c % 4 for c in a]
-        return tuple(a + [0] * (self.k - len(a)))[: self.k]
-
-    def _reduce(self, a: list[int]) -> tuple[int, ...]:
-        a = [c % 4 for c in a]
-        k = self.k
-        for i in range(len(a) - 1, k - 1, -1):
-            c = a[i]
-            if c:
-                for t in range(k + 1):
-                    a[i - k + t] = (a[i - k + t] - c * self._mod_list[t]) % 4
-        return self._pad(a[:k])
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % 4 for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % 4 for x, y in zip(a, b))
-
-    def double(self, a) -> tuple[int, ...]:
-        return tuple((2 * x) % 4 for x in a)
-
-    def mul(self, a, b) -> tuple[int, ...]:
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return self._reduce(conv)
-
-    def _frobenius(self, c) -> tuple[int, ...]:
-        # c = a + 2b with a, b Teichmueller; frobenius maps it to a^2 + 2 b^2
-        a = self._by_mod2[tuple(x % 2 for x in c)]
-        rest = self.sub(c, a)
-        if any(x % 2 for x in rest):
-            raise RuntimeError("2-adic decomposition failed")
-        b = self._by_mod2[tuple((x // 2) % 2 for x in rest)]
-        return self.add(self.mul(a, a), self.double(self.mul(b, b)))
-
-    def trace(self, c) -> int:
-        """Ring trace GR(4, k) -> Z_4."""
-        c = tuple(c)
-        cached = self._trace_cache.get(c)
-        if cached is not None:
-            return cached
-        acc = c
-        img = c
-        for _ in range(self.k - 1):
-            img = self._frobenius(img)
-            acc = self.add(acc, img)
-        if any(acc[1:]):
-            raise RuntimeError(f"trace of {c} did not land in Z_4")
-        self._trace_cache[c] = acc[0]
-        return acc[0]
-
 
 # ---------------------------------------------------------------------------
 # MUB families
@@ -355,30 +306,58 @@ def _verified(family: MubFamily) -> MubFamily:
     return family
 
 
+def _index_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product table and the trace of every element of the index set of
+    the d = p^k family: GF(p^k) for odd p, the Teichmueller set of GR(4, k)
+    for p = 2.  Index i is ``GaloisField.elements[i]`` or
+    ``_GaloisRing4.teichmuller[i]``.
+    """
+    if p == 2:
+        ring = _GaloisRing4(k)
+        n = 2**k - 1
+        # T[1 + e] = xi^e, so nonzero products add exponents mod 2^k - 1
+        e = np.arange(n)
+        prod = np.zeros((n + 1, n + 1), dtype=np.int64)
+        prod[1:, 1:] = 1 + (e[:, None] + e) % n
+        return prod, np.array(ring.traces)
+    gf = GaloisField(p, k)
+    index = {x: i for i, x in enumerate(gf.elements)}
+    prod = np.array([[index[gf.mul(x, y)] for y in gf.elements] for x in gf.elements])
+    return prod, np.array([gf.trace(x) for x in gf.elements])
+
+
+def _trace_family(p: int, k: int) -> tuple[tuple[np.ndarray, ...], int]:
+    """The d = p^k matrices H'_a, a = 0 first, and their root order.
+
+    The trace is additive, so tr(a*x^2 + b*x) = tr(a*x^2) + tr(b*x) and
+    Tr((a + 2b)*x) = Tr(a*x) + 2 Tr(b*x): every phase is a sum of two
+    entries of the table tr(a*x), and every matrix is one gather.
+    """
+    prod, trace = _index_tables(p, k)
+    tr = trace[prod]        # tr[a, x] = trace(a*x); prod[x, x] indexes x^2
+    if p == 2:
+        order, phase = 4, tr[:, :, None] + 2 * tr               # [a, x, b]
+    else:
+        order, phase = p, tr[:, np.diag(prod), None] + tr       # [a, x, b]
+    phase %= order
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    return tuple(roots[phase]), order
+
+
 def prime_mubs(p: int) -> MubFamily:
     """The p Hadamard matrices of a complete MUB family in prime dimension.
 
     Together with the implicit identity basis this is p + 1 mutually unbiased
-    bases.  The k = 0 matrix (the Fourier matrix) comes first.
+    bases.  The a = 0 matrix (the Fourier matrix) comes first.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    mats = []
-    l = np.arange(p).reshape(-1, 1)
-    j = np.arange(p).reshape(1, -1)
-    if p == 2:
-        quartic = np.exp(2j * np.pi * np.arange(4) / 4)
-        for k in range(2):
-            mats.append(quartic[(l * (2 * j + k * l)) % 4])
-    else:
-        roots = np.exp(2j * np.pi * np.arange(p) / p)
-        for k in range(p):
-            mats.append(roots[(k * l * l + j * l) % p])
+    mats, order = _trace_family(p, 1)
     family = MubFamily(
         d=p,
-        hadamards=tuple(mats),
+        hadamards=mats,
         construction="prime",
-        parameters={"p": p, "root_order": 4 if p == 2 else p},
+        parameters={"p": p, "root_order": order},
     )
     return _verified(family)
 
@@ -396,37 +375,12 @@ def prime_power_mubs(p: int, k: int) -> MubFamily:
     d = p**k
     if d > 64:
         raise ValueError(f"d = {d} exceeds the documented envelope 64")
-    mats = []
-    if p == 2:
-        ring = _GaloisRing4(k)
-        ts = ring.teichmuller
-        quartic = np.exp(2j * np.pi * np.arange(4) / 4)
-        for a in ts:
-            mat = np.empty((d, d), dtype=complex)
-            for bi, b in enumerate(ts):
-                coef = ring.add(a, ring.double(b))
-                for xi, x in enumerate(ts):
-                    mat[xi, bi] = quartic[ring.trace(ring.mul(coef, x))]
-            mats.append(mat)
-        root_order = 4
-    else:
-        gf = GaloisField(p, k)
-        roots = np.exp(2j * np.pi * np.arange(p) / p)
-        xs = gf.elements
-        squares = [gf.mul(x, x) for x in xs]
-        for a in xs:
-            mat = np.empty((d, d), dtype=complex)
-            ax2 = [gf.mul(a, sq) for sq in squares]
-            for bi, b in enumerate(xs):
-                for xi, x in enumerate(xs):
-                    mat[xi, bi] = roots[gf.trace(gf.add(ax2[xi], gf.mul(b, x)))]
-            mats.append(mat)
-        root_order = p
+    mats, order = _trace_family(p, k)
     family = MubFamily(
         d=d,
-        hadamards=tuple(mats),
+        hadamards=mats,
         construction="prime-power",
-        parameters={"p": p, "k": k, "root_order": root_order},
+        parameters={"p": p, "k": k, "root_order": order},
     )
     return _verified(family)
 

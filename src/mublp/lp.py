@@ -100,25 +100,6 @@ class CertificateError(RuntimeError):
 # symmetry canonicalisation
 
 
-def _point_images(vec: tuple[int, ...], m: int, use_shift: bool):
-    """Sorted representatives of all symmetry images of a grid point."""
-    neg = tuple((-v) % m for v in vec)
-    yield tuple(sorted(vec))
-    yield tuple(sorted(neg))
-    if use_shift:
-        full = (0,) + vec
-        for t in range(1, len(full)):
-            shifted = tuple(
-                (full[j] - full[t]) % m for j in range(len(full)) if j != t
-            )
-            yield tuple(sorted(shifted))
-            yield tuple(sorted((-v) % m for v in shifted))
-
-
-def canonical_point(vec: tuple[int, ...], m: int, use_shift: bool = False):
-    return min(_point_images(vec, m, use_shift))
-
-
 def _images(digits: np.ndarray, m: int, use_shift: bool, dual: bool) -> list:
     """The rows of ``digits`` under the group maps besides negation and
     permutation: the rows alone without shift.  With shift each row is
@@ -141,8 +122,8 @@ def _images(digits: np.ndarray, m: int, use_shift: bool, dual: bool) -> list:
 def canonical_codes(
     digits: np.ndarray, m: int, use_shift: bool = False, dual: bool = False
 ) -> np.ndarray:
-    """``canonical_point`` (``canonical_char`` if ``dual``) of every row of
-    ``digits``, as base-m codes.
+    """The least sorted image of every row of ``digits`` under the symmetry
+    group of points (of characters if ``dual``), as base-m codes.
 
     A sorted image is coded as its big-endian base-m number, which orders
     like the tuple, so the least code over the images and their negations is
@@ -824,7 +805,17 @@ def _load_checkpoint(directory: str, problem: LpProblem):
     key = _checkpoint_key(problem)
     if any(payload.get(k) != v for k, v in key.items()):
         raise ValueError(f"checkpoint at {path} was written for a different problem")
-    return [tuple(g) for g in payload["constraints"]]
+    reps = payload.get("constraints")
+    n, m = problem.d - 1, problem.m
+    if not isinstance(reps, list) or not all(
+        isinstance(g, list) and len(g) == n
+        and all(type(v) is int and 0 <= v < m for v in g)
+        for g in reps
+    ):
+        raise ValueError(
+            f"checkpoint at {path} holds a constraint that is not {n} integers in [0, {m})"
+        )
+    return [tuple(g) for g in reps]
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,8 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    close_pad = " " * (indent * level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl
+def _render(value, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
     if value is None or isinstance(value, bool):
         out.append(json.dumps(value))
     elif isinstance(value, Fraction):
@@ -41,40 +38,40 @@ def _render(value, out: list[str], indent: int, level: int) -> None:
         if not value:
             out.append("{}")
             return
-        out.append("{" + nl)
+        out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
             if i:
-                out.append(sep)
-            out.append(pad + json.dumps(key) + (": " if indent else ":"))
-            _render(item, out, indent, level + 1)
-        out.append(nl + close_pad + "}")
+                out.append(",\n")
+            out.append(pad + json.dumps(key) + ": ")
+            _render(item, out, level + 1)
+        out.append("\n" + "  " * level + "}")
     elif isinstance(value, (list, tuple)):
         if not len(value):
             out.append("[]")
             return
-        out.append("[" + nl)
+        out.append("[\n")
         for i, item in enumerate(value):
             if i:
-                out.append(sep)
+                out.append(",\n")
             out.append(pad)
-            _render(item, out, indent, level + 1)
-        out.append(nl + close_pad + "]")
+            _render(item, out, level + 1)
+        out.append("\n" + "  " * level + "]")
     elif hasattr(value, "item"):  # numpy scalar
-        _render(value.item(), out, indent, level)
+        _render(value.item(), out, level)
     else:
         raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 
-def render_json(value, *, indent: int = 2) -> str:
-    """Render ``value`` as a JSON string with a trailing newline."""
+def render_json(value) -> str:
+    """Render ``value`` as JSON indented by two spaces, with a trailing newline."""
     out: list[str] = []
-    _render(value, out, indent, 0)
+    _render(value, out, 0)
     return "".join(out) + "\n"
 
 
-def write_json(path, value, *, indent: int = 2) -> None:
+def write_json(path, value) -> None:
     """Render ``value``, then replace ``path`` with it atomically.
 
     The text goes to a temporary file in the target's directory, which
@@ -83,7 +80,7 @@ def write_json(path, value, *, indent: int = 2) -> None:
     A path that exists but is no regular file (``/dev/stdout``, a pipe) is
     written in place.
     """
-    text = render_json(value, indent=indent)
+    text = render_json(value)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

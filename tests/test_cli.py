@@ -401,3 +401,23 @@ def test_killed_lp_resumes_from_its_checkpoint(run_cli, cli_env, tmp_path):
     assert "resumed from checkpoint" in err
     fresh = lpmod.solve_lp(lpmod.build_pseudo_mub_lp(6, 16, lpmod.build_orbits(6, 16)))
     assert abs(json.loads(out)["M"] - fresh.M) < 1e-9
+
+
+@pytest.mark.parametrize("corrupt", ["shifted_by_m", "row_one_short"])
+def test_lp_rejects_malformed_checkpoint_constraints(tmp_path, capsys, corrupt):
+    ck = tmp_path / "ck"
+    assert cli.main(["lp", "--d", "4", "--m", "6", "--checkpoint-dir", str(ck)]) == 0
+    path = ck / "constraints.json"
+    payload = json.loads(path.read_text())
+    rows = payload["constraints"]
+    if corrupt == "shifted_by_m":
+        payload["constraints"] = [[v + 6 for v in g] for g in rows]
+    else:
+        payload["constraints"] = [rows[0][:-1]] + rows[1:]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["lp", "--d", "4", "--m", "6", "--checkpoint-dir", str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: checkpoint at {path} holds a constraint "
+                   "that is not 3 integers in [0, 6)\n")

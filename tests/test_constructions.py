@@ -9,6 +9,7 @@ from mublp.constructions import (
     GaloisField,
     SidonSet,
     _GaloisRing4,
+    _index_tables,
     fourier_matrix,
     is_prime,
     prime_mubs,
@@ -17,8 +18,150 @@ from mublp.constructions import (
     sidon_search,
     sidon_verify,
 )
-from mublp.hadamard import family_to_points, row_quotient_check, verify_family
+from mublp.hadamard import (
+    MubFamily,
+    family_to_points,
+    row_quotient_check,
+    verify_family,
+)
 from mublp.torus import PointClass, difference
+
+PRIMES = [p for p in range(2, 62) if is_prime(p)]
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: the family formulas evaluated entry by entry, with a
+# scalar field or ring trace per entry.  The constructors build the same
+# matrices from a product table and a trace table.
+
+
+class _RingReference:
+    """GR(4, k) arithmetic on general elements c = a + 2b, a and b in T."""
+
+    def __init__(self, ring: _GaloisRing4):
+        self.k = ring.k
+        self.modulus = ring.modulus
+        self._by_mod2 = {tuple(c % 2 for c in t): t for t in ring.teichmuller}
+        self._trace_cache = {}
+
+    def _reduce(self, a):
+        a = [c % 4 for c in a]
+        k = self.k
+        for i in range(len(a) - 1, k - 1, -1):
+            c = a[i]
+            if c:
+                for t in range(k + 1):
+                    a[i - k + t] = (a[i - k + t] - c * self.modulus[t]) % 4
+        return tuple(a[:k] + [0] * (k - len(a)))
+
+    def add(self, a, b):
+        return tuple((x + y) % 4 for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % 4 for x, y in zip(a, b))
+
+    def double(self, a):
+        return tuple((2 * x) % 4 for x in a)
+
+    def mul(self, a, b):
+        conv = [0] * (2 * self.k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        return self._reduce(conv)
+
+    def _frobenius(self, c):
+        # c = a + 2b with a, b Teichmueller; frobenius maps it to a^2 + 2 b^2
+        a = self._by_mod2[tuple(x % 2 for x in c)]
+        rest = self.sub(c, a)
+        assert not any(x % 2 for x in rest)
+        b = self._by_mod2[tuple((x // 2) % 2 for x in rest)]
+        return self.add(self.mul(a, a), self.double(self.mul(b, b)))
+
+    def trace(self, c):
+        """Ring trace GR(4, k) -> Z_4: the sum of the k Frobenius images."""
+        c = tuple(c)
+        if c not in self._trace_cache:
+            acc = img = c
+            for _ in range(self.k - 1):
+                img = self._frobenius(img)
+                acc = self.add(acc, img)
+            assert not any(acc[1:]), c
+            self._trace_cache[c] = acc[0]
+        return self._trace_cache[c]
+
+
+def _prime_reference(p):
+    mats = []
+    l = np.arange(p).reshape(-1, 1)
+    j = np.arange(p).reshape(1, -1)
+    if p == 2:
+        quartic = np.exp(2j * np.pi * np.arange(4) / 4)
+        for k in range(2):
+            mats.append(quartic[(l * (2 * j + k * l)) % 4])
+    else:
+        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        for k in range(p):
+            mats.append(roots[(k * l * l + j * l) % p])
+    return MubFamily(d=p, hadamards=tuple(mats), construction="prime",
+                     parameters={"p": p, "root_order": 4 if p == 2 else p})
+
+
+def _prime_power_reference(p, k):
+    d = p**k
+    mats = []
+    if p == 2:
+        ring = _GaloisRing4(k)
+        ref = _RingReference(ring)
+        ts = ring.teichmuller
+        quartic = np.exp(2j * np.pi * np.arange(4) / 4)
+        for a in ts:
+            mat = np.empty((d, d), dtype=complex)
+            for bi, b in enumerate(ts):
+                coef = ref.add(a, ref.double(b))
+                for xi, x in enumerate(ts):
+                    mat[xi, bi] = quartic[ref.trace(ref.mul(coef, x))]
+            mats.append(mat)
+        root_order = 4
+    else:
+        gf = GaloisField(p, k)
+        trace = {}
+        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        xs = gf.elements
+        squares = [gf.mul(x, x) for x in xs]
+        for a in xs:
+            mat = np.empty((d, d), dtype=complex)
+            ax2 = [gf.mul(a, sq) for sq in squares]
+            for bi, b in enumerate(xs):
+                for xi, x in enumerate(xs):
+                    c = gf.add(ax2[xi], gf.mul(b, x))
+                    if c not in trace:
+                        trace[c] = gf.trace(c)
+                    mat[xi, bi] = roots[trace[c]]
+            mats.append(mat)
+        root_order = p
+    return MubFamily(d=d, hadamards=tuple(mats), construction="prime-power",
+                     parameters={"p": p, "k": k, "root_order": root_order})
+
+
+def _assert_same_family(got, want):
+    assert got.construction == want.construction
+    assert got.parameters == want.parameters
+    assert len(got.hadamards) == len(want.hadamards)
+    for a, b in zip(got.hadamards, want.hadamards):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_mubs_matches_reference_formula(p):
+    _assert_same_family(prime_mubs(p), _prime_reference(p))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in PRIMES for k in range(1, 6)
+                                 if p**k <= 32])
+def test_prime_power_mubs_matches_reference_loops(p, k):
+    _assert_same_family(prime_power_mubs(p, k), _prime_power_reference(p, k))
 
 
 def test_fourier_examples():
@@ -44,7 +187,9 @@ def test_prime_mubs_rejects_composite():
 
 
 def test_prime_power_families_verify():
-    for p, k in [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2)]:
+    # every non-prime prime power up to the documented envelope of 64
+    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
+                 (7, 2), (2, 6)]:
         fam = prime_power_mubs(p, k)
         check = verify_family(fam)
         assert check.ok, (p, k, check.failures)
@@ -118,10 +263,17 @@ def test_galois_ring_teichmuller():
     assert lifted_mod2 == [1, 0, 1, 1]
     assert len(ring.teichmuller) == 8
     # trace lands in Z_4 and is additive over doubling
+    ref = _RingReference(ring)
     for t in ring.teichmuller:
-        tr = ring.trace(t)
+        tr = ref.trace(t)
         assert 0 <= tr < 4
-        assert ring.trace(ring.double(t)) == (2 * tr) % 4
+        assert ref.trace(ref.double(t)) == (2 * tr) % 4
+    # the builder's trace table walks exponents on T; the reference runs the
+    # Frobenius on general ring elements
+    for k in range(1, 7):
+        ring = _GaloisRing4(k)
+        ref = _RingReference(ring)
+        assert _index_tables(2, k)[1].tolist() == [ref.trace(t) for t in ring.teichmuller]
 
 
 def test_sidon_search_examples():

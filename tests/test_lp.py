@@ -17,7 +17,6 @@ from mublp.lp import (
     build_pseudo_mub_lp,
     canonical_char,
     canonical_codes,
-    canonical_point,
     char_orbit,
     export_lp,
     extract_dual_witness,
@@ -106,6 +105,25 @@ def test_orbit_members_classify_like_representative():
         for orbit in table.orbits:
             for y in orbit.members:
                 assert classify_reference(TorusPoint.exact(m, y), d) is orbit.point_class
+
+
+def _point_images(vec: tuple[int, ...], m: int, use_shift: bool):
+    """Sorted representatives of all symmetry images of a grid point."""
+    neg = tuple((-v) % m for v in vec)
+    yield tuple(sorted(vec))
+    yield tuple(sorted(neg))
+    if use_shift:
+        full = (0,) + vec
+        for t in range(1, len(full)):
+            shifted = tuple(
+                (full[j] - full[t]) % m for j in range(len(full)) if j != t
+            )
+            yield tuple(sorted(shifted))
+            yield tuple(sorted((-v) % m for v in shifted))
+
+
+def canonical_point(vec: tuple[int, ...], m: int, use_shift: bool = False):
+    return min(_point_images(vec, m, use_shift))
 
 
 def test_canonical_point_and_char_are_group_invariant():
