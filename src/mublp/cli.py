@@ -278,11 +278,10 @@ def cmd_pseudo_check(args) -> int:
 
 def cmd_export_lp(args) -> int:
     problem = _build_problem(args)
-    lpmod.export_lp(problem, args.out)
+    rows = lpmod.export_lp(problem, args.out)
     sys.stdout.write(
         render_json({"d": args.d, "m": args.m, "file": args.out,
-                     "orbits": problem.n_orbits,
-                     "constraints": len(problem.char_representatives())})
+                     "orbits": problem.n_orbits, "constraints": rows})
     )
     return EXIT_OK
 

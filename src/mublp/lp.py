@@ -33,13 +33,16 @@ invariant under coordinate permutations and so is fhat, so the scan only
 needs the C(m+d-2, d-1) sorted characters: ``multiset_fft`` transforms one
 axis at a time over coordinate multisets and never forms the m^(d-1) cube.
 Without symmetry the scan is one FFT of the weight cube, which keeps the raw
-LP an independent check of the reduction.  Candidates are canonicalised and
-deduplicated as arrays (``canonical_codes``); only the characters
-actually tried become tuples.  Convergence requires a clean full scan, so
-the returned primal is feasible for every character, never just for the
-generated rows.  Weights carry the a-priori box
-w <= 2: any fully feasible f has f(y) <= f(0) = 1 pointwise (nonnegative
-transform), so the box is slack at convergence and never enters the dual.
+LP an independent check of the reduction.  Candidates are keyed once per
+problem: with symmetry the class key of every sorted character (its
+``canonical_codes`` code) is computed when the problem is built, and without
+symmetry the key is the cube index.  A round sorts its violated positions by
+transform value and tries each key at its first position; only the
+characters actually tried become tuples.  Convergence requires a clean full
+scan, so the returned primal is feasible for every character, never just for
+the generated rows.  Weights carry the a-priori box w <= 2: any fully
+feasible f has f(y) <= f(0) = 1 pointwise (nonnegative transform), so the box
+is slack at convergence and never enters the dual.
 
 The restricted master is posed to the simplex in its dual form (multipliers
 lambda per generated constraint, box multipliers mu per weight), because the
@@ -89,7 +92,6 @@ _WEIGHT_BOX = 2.0
 # a generated row counts as met down to -ROW_TOL; a feasibility tolerance
 # below it could let the scan flag a row the restricted master already meets
 ROW_TOL = 1e-8
-_CHUNK = 1 << 14    # characters canonicalised per vectorised step (bounds memory)
 
 
 class CertificateError(RuntimeError):
@@ -310,22 +312,18 @@ class LpProblem:
     table: OrbitTable
     member_matrix: np.ndarray = field(init=False)   # stacked members
     member_orbit: np.ndarray = field(init=False)    # orbit id per member
-    member_linear: np.ndarray = field(init=False)   # linear grid index per member
     _cos_table: np.ndarray = field(init=False, repr=False)
     # symmetric problems: the multiset rank tables, the orbit id of each
-    # coordinate multiset (n_orbits: no support), and the linear code of each
+    # coordinate multiset (n_orbits: no support), and the class key of each
     # sorted character, by multiset rank
     _multiset_tables: list | None = field(default=None, init=False, repr=False)
     _multiset_orbit: np.ndarray | None = field(default=None, init=False, repr=False)
-    _sorted_codes: np.ndarray | None = field(default=None, init=False, repr=False)
-    _char_reps: list | None = field(default=None, init=False, repr=False)
+    _char_keys: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.d - 1
         self.member_matrix = self.table.members
         self.member_orbit = self.table.member_orbit
-        place = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.member_linear = self.member_matrix @ place
         self._cos_table = np.cos(2.0 * np.pi * np.arange(self.m) / self.m)
         if self.table.symmetric:
             tables, rows = multiset_rank_tables(n, self.m)
@@ -335,7 +333,9 @@ class LpProblem:
             self._multiset_orbit[ranks] = self.member_orbit
             if np.any(self._multiset_orbit[ranks] != self.member_orbit):
                 raise AssertionError("an orbit is not closed under permutations")
-            self._sorted_codes = rows @ place
+            self._char_keys = canonical_codes(
+                rows, self.m, self.table.use_shift, dual=True
+            )
 
     @property
     def n_orbits(self) -> int:
@@ -352,48 +352,32 @@ class LpProblem:
             self.member_orbit, weights=self._cos_table[dots], minlength=self.n_orbits
         )
 
-    def char_codes(self, indices: np.ndarray) -> np.ndarray:
-        """Linear cube index of the deduplicated character of each index.
-
-        With symmetry this is the code of ``canonical_char``; without, every
-        character is its own representative.
-        """
-        if not self.table.symmetric:
-            return indices
-        digits = _decode_digits(indices, self.m, self.d - 1)
-        return canonical_codes(digits, self.m, self.table.use_shift, dual=True)
-
-    def scan_codes(self, positions: np.ndarray) -> np.ndarray:
-        """Linear cube index of the character at each position of a scan."""
+    def char_keys(self, positions: np.ndarray) -> np.ndarray:
+        """The class key of the character at each scan position: the linear
+        cube index of its ``canonical_char`` with symmetry, the position (its
+        own cube index) without."""
         if not self.table.symmetric:
             return positions
-        return self._sorted_codes[positions]
+        return self._char_keys[positions]
 
     def char_representatives(self) -> list:
-        """Deduplicated characters of the cube (cached; excludes gamma = 0).
+        """Deduplicated characters of the cube, ascending, without gamma = 0.
 
-        With symmetry every class has a sorted member, so only the sorted
-        characters are coded.
+        With symmetry every class has a sorted member, so the keys of the
+        sorted characters cover every class.
         """
-        if self._char_reps is None:
-            if self.table.symmetric:
-                chars = self._sorted_codes
-            else:
-                chars = np.arange(self.m ** (self.d - 1))
-            codes = np.unique(np.concatenate([
-                np.unique(self.char_codes(chars[lo : lo + _CHUNK]))
-                for lo in range(0, chars.size, _CHUNK)
-            ]))
-            # only gamma = 0 codes to 0: no image of a nonzero character is zero
-            digits = _decode_digits(codes[codes != 0], self.m, self.d - 1)
-            self._char_reps = list(map(tuple, digits.tolist()))
-        return self._char_reps
+        keys = self._char_keys if self.table.symmetric else np.arange(self.m ** (self.d - 1))
+        codes = np.unique(keys)
+        # only gamma = 0 codes to 0: no image of a nonzero character is zero
+        digits = _decode_digits(codes[codes != 0], self.m, self.d - 1)
+        return list(map(tuple, digits.tolist()))
 
     def weight_grid(self, weights: np.ndarray) -> np.ndarray:
         """The function f on the full grid for orbit weights (f(0) = 1)."""
         n = self.d - 1
         flat = np.zeros(self.m**n)
-        flat[self.member_linear] = np.asarray(weights)[self.member_orbit]
+        place = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        flat[self.member_matrix @ place] = np.asarray(weights)[self.member_orbit]
         flat[0] = 1.0
         return flat.reshape((self.m,) * n)
 
@@ -412,7 +396,7 @@ class LpSolution:
     dual: dict                  # canonical gamma -> nonnegative multiplier
     iterations: int
     rounds: int
-    active_constraints: int
+    active_constraints: int     # rows in the restricted master
     final_scan_min: float
     duality_gap: float
 
@@ -456,23 +440,6 @@ def _transform_scan(problem: LpProblem, weights: np.ndarray) -> np.ndarray:
         return multiset_fft(values, problem._multiset_tables).real
     w = problem.weight_grid(weights)
     return np.fft.fftn(w).real.ravel()
-
-
-def _first_keys(problem: LpProblem, chars: np.ndarray):
-    """Yield (key code, position) for each deduplicated character of ``chars``.
-
-    ``chars`` holds linear cube indices; keys come at their first occurrence.
-    Candidates are coded one chunk at a time, so a round that stops after a
-    few keys never codes the long tail of a large violated set.
-    """
-    seen: set = set()
-    for lo in range(0, chars.size, _CHUNK):
-        codes = problem.char_codes(chars[lo : lo + _CHUNK])
-        for pos in np.sort(np.unique(codes, return_index=True)[1]).tolist():
-            code = int(codes[pos])
-            if code not in seen:
-                seen.add(code)
-                yield code, lo + pos
 
 
 def solve_lp(
@@ -584,16 +551,18 @@ def solve_lp(
         violated = np.flatnonzero(scan < -eps_feas)
         if violated.size == 0:
             break
-        chars = problem.scan_codes(violated)
-        order = np.lexsort((chars, scan[violated]))
-        chars, values = chars[order], scan[violated[order]]
+        # scan positions ascend with the characters' cube indices, so a stable
+        # sort by value breaks ties lexicographically
+        order = violated[np.argsort(scan[violated], kind="stable")]
+        keys = problem.char_keys(order)
         added = 0
-        for code, pos in _first_keys(problem, chars):
+        for pos in np.sort(np.unique(keys, return_index=True)[1]).tolist():
+            code = int(keys[pos])
             key = tuple(_decode_digits(np.array([code]), m, n)[0].tolist())
             if code in rep_codes:
                 raise AssertionError(
                     f"generated constraint {key} violated after optimisation "
-                    f"({values[pos]:.3e}); row arithmetic is inconsistent"
+                    f"({scan[order[pos]]:.3e}); row arithmetic is inconsistent"
                 )
             row = problem.constraint_row(key)
             # distinct characters can induce identical rows (grid automorphisms
@@ -639,7 +608,7 @@ def solve_lp(
         dual=dual,
         iterations=total_iterations,
         rounds=rounds,
-        active_constraints=len(dual),
+        active_constraints=r,
         final_scan_min=worst,
         duality_gap=gap,
     )
@@ -837,7 +806,8 @@ def _load_checkpoint(directory: str, problem: LpProblem):
 # optimum of the file equals M - 1 (stated in the header comment).
 
 
-def export_lp(problem: LpProblem, path: str) -> None:
+def export_lp(problem: LpProblem, path: str) -> int:
+    """Write the full LP to ``path``; returns the number of constraint rows."""
     reps = problem.char_representatives()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"\\ pseudo-MUB linear program d={problem.d} m={problem.m}\n")
@@ -856,6 +826,7 @@ def export_lp(problem: LpProblem, path: str) -> None:
         for i in range(problem.n_orbits):
             fh.write(f" 0 <= f_{i} <= {_num(_WEIGHT_BOX)}\n")
         fh.write("End\n")
+    return len(reps)
 
 
 def _num(x: float) -> str:

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,6 +29,7 @@ from mublp.lp import (
     solve_lp,
 )
 from mublp.serialize import render_json
+from mublp.simplex import ITERATION_LIMIT, solve_equality_form
 from mublp.torus import (
     CODE_ORT,
     CODE_UB,
@@ -34,6 +38,7 @@ from mublp.torus import (
     _decode_digits,
     difference,
     exact_grid_codes,
+    multiset_rank_tables,
 )
 from mublp.witness import (
     TrigPolynomial,
@@ -272,7 +277,9 @@ def test_multiset_scan_matches_cube_fft(use_shift):
         prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
         weights = rng.uniform(0.0, 2.0, size=prob.n_orbits)
         cube = np.fft.fftn(prob.weight_grid(weights)).real.ravel()
-        sorted_chars = prob.scan_codes(np.arange(math.comb(m + d - 2, d - 1)))
+        rows = multiset_rank_tables(d - 1, m)[1]
+        assert len(rows) == math.comb(m + d - 2, d - 1)
+        sorted_chars = rows @ m ** np.arange(d - 2, -1, -1)
         assert np.all(np.diff(sorted_chars) > 0)        # lexicographic order
         scan = _transform_scan(prob, weights)
         assert scan.shape == sorted_chars.shape
@@ -291,6 +298,109 @@ def test_symmetric_solve_never_builds_the_cube(monkeypatch, d, m, use_shift):
     monkeypatch.setattr(np.fft, "fftn", refuse)
     sol = solve_lp(prob, add_per_round=4)
     assert sol.status == "optimal" and sol.final_scan_min >= -1e-7
+
+
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_symmetric_solve_keys_characters_only_when_built(monkeypatch, use_shift):
+    # every sorted character is keyed once, when the problem is built; the
+    # rounds only look the keys up
+    def refuse(*args, **kwargs):
+        raise AssertionError("characters canonicalised during the solve")
+
+    prob = build_pseudo_mub_lp(6, 8, build_orbits(6, 8, use_shift_symmetry=use_shift))
+    monkeypatch.setattr("mublp.lp.canonical_codes", refuse)
+    sol = solve_lp(prob)
+    assert sol.status == "optimal" and abs(sol.M - 21.6) < 1e-9
+
+
+# sha256 of json.dumps(checkpoint["constraints"]) for --shift-symmetry solves
+# at the default options: the generated characters in the order the rounds
+# added them, which fixes the candidate selection order
+PINNED_CONSTRAINTS = {
+    (6, 8): "23ea55500faa13d1c324d8a38c23a4e33f1a695248d358a3ba499ddc4266c14d",
+    (5, 12): "8c757ef124512f068a2b3964208ef6a589ea8a08d36eab1f5c38630179eb37c7",
+    (4, 12): "4ac34d685ddd9cdd6bf092e0f55db3c9adb8cafa55a7f6613e9afce730750301",
+}
+
+
+@pytest.mark.parametrize("d,m", sorted(PINNED_CONSTRAINTS))
+def test_generated_constraints_are_pinned(tmp_path, d, m):
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=True))
+    sol = solve_lp(prob, checkpoint_dir=str(tmp_path))
+    assert sol.status == "optimal"
+    payload = json.loads((tmp_path / "constraints.json").read_text())
+    digest = hashlib.sha256(json.dumps(payload["constraints"]).encode()).hexdigest()
+    assert digest == PINNED_CONSTRAINTS[(d, m)]
+    assert sol.active_constraints == len(payload["constraints"])
+
+
+def test_active_constraints_counts_master_rows_on_early_exit(monkeypatch):
+    # the second master solve runs out of iterations; the solution reports
+    # the rows that master held, as it does at an optimum
+    rows = []
+
+    def second_call_stops(A, b, c, basis):
+        rows.append(A.shape[1] - 2 * A.shape[0])     # lam columns = rows
+        result = solve_equality_form(A, b, c, basis)
+        if len(rows) == 2:
+            result = dataclasses.replace(result, status=ITERATION_LIMIT)
+        return result
+
+    monkeypatch.setattr("mublp.lp.solve_equality_form", second_call_stops)
+    sol = solve_lp(build_pseudo_mub_lp(6, 8, build_orbits(6, 8)), add_per_round=4)
+    assert sol.status == "budget_exceeded"
+    assert len(rows) == 2 and rows[1] > rows[0] > 0
+    assert sol.active_constraints == rows[1]
+
+
+# grids on which a complete family with phases of order dividing m exists
+ATTAINMENT_GRIDS = [(4, 4), (5, 5), (7, 7), (8, 4), (9, 3), (4, 8), (8, 8)]
+
+
+@pytest.mark.parametrize("d,m", ATTAINMENT_GRIDS)
+def test_lp_attains_d_squared_where_a_complete_family_exists(d, m):
+    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.M - d * d) <= 1e-9, sol.M
+    extract_dual_witness(sol, prob)             # raises unless it validates
+
+
+REFINEMENT_GRIDS = {
+    4: (2, 3, 4, 6, 8, 12, 16),
+    5: (2, 3, 4, 6, 8, 12),
+    6: (2, 3, 4, 6, 8),
+}
+
+
+@pytest.mark.parametrize("d", sorted(REFINEMENT_GRIDS))
+def test_lp_optimum_grows_under_grid_refinement(d):
+    # y -> k y embeds Z_m^(d-1) in Z_km^(d-1) and keeps every point's class
+    # and every orbit, so the coarse optimum lifts to a fine feasible point
+    # of the same mass: M(d, m) <= M(d, km)
+    solved = {}
+    for m in REFINEMENT_GRIDS[d]:
+        prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        solved[m] = prob, sol
+    pairs = [(m, fine) for m in solved for fine in solved if fine > m and fine % m == 0]
+    assert pairs
+    for m, fine in pairs:
+        (coarse, sol), (prob, fine_sol) = solved[m], solved[fine]
+        assert sol.M <= fine_sol.M + 1e-9, (d, m, fine)
+        place = fine ** np.arange(d - 2, -1, -1)
+        lifted = canonical_codes(coarse.table.representatives * (fine // m), fine)
+        fine_codes = prob.table.representatives @ place
+        at = np.searchsorted(fine_codes, lifted)
+        assert np.array_equal(fine_codes[at], lifted), (d, m, fine)
+        assert np.array_equal(prob.objective[at], coarse.objective)
+        weights = np.zeros(prob.n_orbits)
+        weights[at] = sol.weights
+        assert abs(1.0 + prob.objective @ weights - sol.M) <= 1e-9
+        # fhat on the fine grid at gamma is the coarse fhat at gamma mod m
+        lifted_min = _transform_scan(prob, weights).min()
+        assert abs(lifted_min - sol.final_scan_min) <= 1e-9, (d, m, fine)
 
 
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
@@ -681,9 +791,9 @@ def test_export_parse_roundtrip():
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.lp")
-        export_lp(prob, path)
+        written = export_lp(prob, path)
         parsed = parse_lp(path)
-    assert len(parsed["constraints"]) == len(prob.char_representatives())
+    assert written == len(parsed["constraints"]) == len(prob.char_representatives())
     for gamma in prob.char_representatives():
         name = "g_" + "_".join(str(v) for v in gamma)
         row = prob.constraint_row(gamma)
