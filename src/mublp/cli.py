@@ -3,8 +3,8 @@
 Every pipeline is a subcommand with machine-readable output (JSON by
 default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
-failed, 2 usage or input error.  Budgets and tolerances read MUBLP_*
-environment variables; the matching flags win over the environment.
+failed, 2 usage or input error.  Every budget and tolerance is a flag whose
+default is its ``config.DEFAULT_*`` constant; nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .config import (
     DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
     DEFAULT_SIDON_BUDGET,
-    env_float,
-    env_int,
 )
 from .serialize import load_json, render_json, write_json
 
@@ -44,18 +42,6 @@ def _emit(args, payload) -> None:
         write_json(args.out, payload)
     else:
         sys.stdout.write(render_json(payload))
-
-
-def _eps(args) -> float:
-    if args.eps is not None:
-        return args.eps
-    return env_float("EPS", DEFAULT_EPS)
-
-
-def _budget(args) -> int:
-    if args.enum_budget is not None:
-        return args.enum_budget
-    return env_int("ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
 
 
 def _load_family(path) -> had.MubFamily:
@@ -88,7 +74,7 @@ def cmd_construct(args) -> int:
             construction="fourier",
             parameters={"root_order": d},
         )
-    check = had.verify_family(family, _eps(args))
+    check = had.verify_family(family, args.eps)
     payload = had.family_to_json_obj(family)
     payload["verified"] = check.ok
     payload["max_violation"] = check.max_violation
@@ -98,12 +84,11 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     family = _load_family(args.family)
-    eps = _eps(args)
-    check = had.verify_family(family, eps)
+    check = had.verify_family(family, args.eps)
     points_ok = True
     point_error = ""
     try:
-        had.family_to_points(family, eps=eps)
+        had.family_to_points(family, eps=args.eps)
     except had.FamilyPointError as exc:
         points_ok = False
         point_error = str(exc)
@@ -121,9 +106,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    d, m = args.d, args.m
+    d, m, budget = args.d, args.m, args.enum_budget
     if args.format == "json":
-        part = torus.enumerate_grid(d, m, budget=_budget(args), workers=args.workers)
+        part = torus.enumerate_grid(d, m, budget=budget, workers=args.workers)
         payload = {
             "d": d,
             "m": m,
@@ -134,24 +119,23 @@ def cmd_grid(args) -> int:
     else:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                torus.grid_to_csv(d, m, fh, budget=_budget(args), workers=args.workers)
+                torus.grid_to_csv(d, m, fh, budget=budget, workers=args.workers)
         else:
-            torus.grid_to_csv(d, m, sys.stdout, budget=_budget(args),
-                              workers=args.workers)
+            torus.grid_to_csv(d, m, sys.stdout, budget=budget, workers=args.workers)
     return EXIT_OK
 
 
 def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
-    budget = _budget(args)
+    budget = args.enum_budget
     samples: list = []
     if args.sample_m > 1:
         part = torus.enumerate_grid(d, args.sample_m, budget=budget,
                                     workers=args.workers)
         samples = part.ort + part.ub
     # enumerate_grid classified every sample exactly: all are ORT or UB
-    report = witness.delsarte_bound(poly, samples=samples, eps=_eps(args),
+    report = witness.delsarte_bound(poly, samples=samples, eps=args.eps,
                                     budget=budget)
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
@@ -166,7 +150,7 @@ def cmd_witness(args) -> int:
 def cmd_bound(args) -> int:
     family = _load_family(args.family)
     d = family.d
-    points = had.family_to_points(family, eps=_eps(args))
+    points = had.family_to_points(family, eps=args.eps)
     report = witness.check_point_set(points, witness.expand_h(d), eps=1e-6)
     payload = {
         "d": d,
@@ -185,17 +169,14 @@ def cmd_bound(args) -> int:
 
 def cmd_sidon(args) -> int:
     d = args.d
-    budget = args.budget if args.budget is not None else env_int(
-        "SIDON_BUDGET", DEFAULT_SIDON_BUDGET
-    )
-    found = cons.sidon_search(d, budget=budget)
+    found = cons.sidon_search(d, budget=args.budget)
     if found is None:
         _emit(args, {"d": d, "status": "not_found"})
         return EXIT_CHECK_FAILED
     verified = cons.sidon_verify(found)
     row_report = None
     if verified:
-        check = had.row_quotient_check(cons.sidon_row_system(found), _eps(args))
+        check = had.row_quotient_check(cons.sidon_row_system(found), args.eps)
         row_report = {"ok": check.ok, "max_violation": check.max_violation}
     payload = {
         "d": d,
@@ -216,7 +197,7 @@ def _build_problem(args) -> lpmod.LpProblem:
         args.m,
         use_shift_symmetry=args.shift_symmetry,
         symmetric=not args.no_orbit_symmetry,
-        budget=_budget(args),
+        budget=args.enum_budget,
         workers=args.workers,
     )
     return lpmod.build_pseudo_mub_lp(args.d, args.m, table)
@@ -224,16 +205,10 @@ def _build_problem(args) -> lpmod.LpProblem:
 
 def cmd_lp(args) -> int:
     problem = _build_problem(args)
-    eps_feas = args.eps_feas if args.eps_feas is not None else env_float(
-        "EPS_FEAS", DEFAULT_EPS_FEAS
-    )
-    max_rounds = args.max_rounds if args.max_rounds is not None else env_int(
-        "LP_MAX_ROUNDS", DEFAULT_LP_MAX_ROUNDS
-    )
     sol = lpmod.solve_lp(
         problem,
-        eps_feas=eps_feas,
-        max_rounds=max_rounds,
+        eps_feas=args.eps_feas,
+        max_rounds=args.max_rounds,
         add_per_round=args.add_per_round,
         checkpoint_dir=args.checkpoint_dir,
         progress=args.progress or args.m >= 12,
@@ -260,7 +235,7 @@ def cmd_pseudo_check(args) -> int:
         poly = witness.trig_from_json_obj(load_json(args.candidate))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read candidate file {args.candidate}: {exc}")
-    report = lpmod.pseudo_mub_check(poly, args.d, eps=_eps(args))
+    report = lpmod.pseudo_mub_check(poly, args.d, eps=args.eps)
     payload = {
         "d": args.d,
         "support_ok": report.support_ok,
@@ -310,13 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, required=True, help="dimension d >= 2")
         p.add_argument("--out", help="output file (default: stdout)")
         if eps:
-            p.add_argument("--eps", type=float, default=None,
-                           help="floating tolerance (default MUBLP_EPS or 1e-9)")
+            p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                           help="floating tolerance (default %(default)g)")
         if grid:
-            p.add_argument("--enum-budget", type=int, default=None,
-                           help="grid enumeration budget (default MUBLP_ENUM_BUDGET)")
+            p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                           help="grid enumeration budget (default %(default)d)")
             p.add_argument("--workers", type=int, default=None,
-                           help="worker threads for scans (default MUBLP_WORKERS)")
+                           help="worker threads for scans (default: one per core)")
+
+    # the raw LP has no orbits to quotient by the shift maps
+    def symmetry(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--no-orbit-symmetry", action="store_true",
+                           help="one variable per point (cross-check mode)")
+        group.add_argument("--shift-symmetry", action="store_true",
+                           help="also quotient by the phase re-basing maps")
 
     p = sub.add_parser("construct", help="build and verify a MUB family")
     common(p, eps=True)
@@ -348,22 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sidon", help="search/verify Sidon sets mod d^2")
     common(p, eps=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (default MUBLP_SIDON_BUDGET)")
+    p.add_argument("--budget", type=int, default=DEFAULT_SIDON_BUDGET,
+                   help="search node budget (default %(default)d)")
     p.set_defaults(func=cmd_sidon)
 
     p = sub.add_parser("lp", help="solve the pseudo-MUB LP on the m-grid")
     common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
-    p.add_argument("--eps-feas", type=float, default=None,
+    p.add_argument("--eps-feas", type=float, default=DEFAULT_EPS_FEAS,
                    help="constraint feasibility tolerance, at least 1e-8 "
-                   "(default 1e-7)")
-    p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--add-per-round", type=int, default=DEFAULT_LP_ADD_PER_ROUND)
-    p.add_argument("--no-orbit-symmetry", action="store_true",
-                   help="one variable per point (cross-check mode)")
-    p.add_argument("--shift-symmetry", action="store_true",
-                   help="also quotient by the phase re-basing maps")
+                   "(default %(default)g)")
+    p.add_argument("--max-rounds", type=int, default=DEFAULT_LP_MAX_ROUNDS,
+                   help="constraint-generation rounds (default %(default)d)")
+    p.add_argument("--add-per-round", type=int, default=DEFAULT_LP_ADD_PER_ROUND,
+                   help="characters added per round (default %(default)d)")
+    symmetry(p)
     p.add_argument("--checkpoint-dir", default=None,
                    help="persist generated constraints between rounds")
     p.add_argument("--dual-witness", default=None,
@@ -380,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-lp", help="write the LP in interchange text form")
     common(p, grid=True)
     p.add_argument("--m", type=int, required=True, help="grid order")
-    p.add_argument("--no-orbit-symmetry", action="store_true")
-    p.add_argument("--shift-symmetry", action="store_true")
+    symmetry(p)
     p.set_defaults(func=cmd_export_lp)
     return parser
 

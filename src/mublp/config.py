@@ -1,9 +1,10 @@
-"""Shared tolerances, resource budgets, and environment overrides.
+"""Shared tolerances and resource budgets.
 
-Every budget/tolerance here except ``DEFAULT_LP_ADD_PER_ROUND`` can be
-overridden by an ``MUBLP_*`` environment variable; the CLI exposes a flag for
-each one (flags win over the environment; ``--add-per-round`` has no
-environment variable).
+Each ``DEFAULT_*`` constant is the argparse default of the CLI flag that
+sets it (``--eps``, ``--eps-feas``, ``--enum-budget``, sidon's ``--budget``,
+``--max-rounds``, ``--add-per-round``) and the keyword default of the library
+functions that take it.  Nothing reads the environment, so a run depends on
+its arguments alone.
 """
 
 from __future__ import annotations
@@ -18,28 +19,15 @@ DEFAULT_SIDON_BUDGET = 5_000_000    # backtracking nodes
 DEFAULT_LP_MAX_ROUNDS = 500
 DEFAULT_LP_ADD_PER_ROUND = 64
 
-_ENV_PREFIX = "MUBLP_"
-
 
 class BudgetExceededError(RuntimeError):
     """A configured resource budget (enumeration, search nodes, ...) ran out."""
 
 
-def env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return float(raw) if raw is not None else fallback
-
-
-def env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return int(raw) if raw is not None else fallback
-
-
 def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = env_int("WORKERS", 0)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
+    """The thread count for ``workers``: one per core when None or <= 0."""
+    if workers is None or workers <= 0:
+        return os.cpu_count() or 1
     return workers
 
 

@@ -66,14 +66,14 @@ def is_hadamard(matrix, eps: float = DEFAULT_EPS) -> HadamardCheck:
     return HadamardCheck(ok, mod_err, row_worst, col_worst)
 
 
-def is_unbiased_pair(h1, h2, eps: float = DEFAULT_EPS) -> bool:
+def is_unbiased_pair(h1, h2) -> bool:
     """True iff (1/sqrt(d)) h1^* h2 is again a complex Hadamard matrix."""
     a = np.asarray(h1, dtype=complex)
     b = np.asarray(h2, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a.shape[0]
-    return is_hadamard(a.conj().T @ b / np.sqrt(d), eps).ok
+    return is_hadamard(a.conj().T @ b / np.sqrt(d)).ok
 
 
 def dephase(matrix) -> np.ndarray:
@@ -148,13 +148,11 @@ def verify_family(family: MubFamily, eps: float = DEFAULT_EPS) -> FamilyCheck:
     return FamilyCheck(not failures, bases, worst, tuple(failures))
 
 
-def family_to_points(
-    family: MubFamily,
-    snap_denominator: int | None = None,
-    eps: float = DEFAULT_EPS,
-) -> list[TorusPoint]:
+def family_to_points(family: MubFamily, eps: float = DEFAULT_EPS) -> list[TorusPoint]:
     """The m*d torus points associated to the family's columns.
 
+    Each column is snapped to an exact point over the family's
+    ``root_order`` parameter when it has one and the phases allow it.
     Requires the dephased convention: all first rows are ones and the first
     column of the first matrix is all ones, so the first point is the origin.
     Every pairwise difference must classify ORT or UB; the first offending
@@ -163,16 +161,15 @@ def family_to_points(
     with a float point by ``float_codes`` on the windowed differences.
     """
     d = family.d
-    if snap_denominator is None:
-        snap_denominator = family.parameters.get("root_order")
+    root_order = family.parameters.get("root_order")
     points = []
     for h in family.hadamards:
         for j in range(d):
-            points.append(column_to_point(h[:, j], snap_denominator, eps))
+            points.append(column_to_point(h[:, j], root_order, eps))
     if not points or not points[0].is_zero(eps):
         raise FamilyPointError("first column of the first matrix must be all ones",
                                pair=(0, 0))
-    # every exact point is over snap_denominator, so an exact pair's
+    # every exact point is over root_order, so an exact pair's
     # difference is the row difference mod that denominator
     n = d - 1
     exact = np.array([p.is_exact for p in points])
@@ -184,8 +181,8 @@ def family_to_points(
         codes = np.empty(i.size, dtype=np.uint8)
         both = exact[i] & exact[j]
         if both.any():
-            digits = (numerators[i[both]] - numerators[j[both]]) % snap_denominator
-            codes[both] = exact_codes(digits, d, snap_denominator)
+            digits = (numerators[i[both]] - numerators[j[both]]) % root_order
+            codes[both] = exact_codes(digits, d, root_order)
         floating = ~both
         if floating.any():
             x = coords[i[floating]] - coords[j[floating]]

@@ -92,6 +92,8 @@ _WEIGHT_BOX = 2.0
 # a generated row counts as met down to -ROW_TOL; a feasibility tolerance
 # below it could let the scan flag a row the restricted master already meets
 ROW_TOL = 1e-8
+# the most a dual witness's h(0) and certified bound may differ from M
+GAP_TOLERANCE = 1e-4
 
 
 class CertificateError(RuntimeError):
@@ -267,8 +269,11 @@ def build_orbits(
     Group generators: negation and coordinate permutations (plus the optional
     phase-shift maps).  Representatives are lexicographic minima; orbits are
     listed by representative.  With ``symmetric=False`` every point is a
-    singleton orbit (used for symmetrisation cross-checks).
+    singleton orbit (used for symmetrisation cross-checks), and asking for
+    the shift symmetry as well is a ``ValueError``.
     """
+    if use_shift_symmetry and not symmetric:
+        raise ValueError("shift symmetry needs orbit symmetry")
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
     points = np.flatnonzero(is_ort_ub(codes))
     point_codes = codes[points]
@@ -614,19 +619,16 @@ def solve_lp(
     )
 
 
-def extract_dual_witness(
-    sol: LpSolution,
-    problem: LpProblem,
-    eps: float = DEFAULT_EPS,
-    gap_tolerance: float = 1e-4,
-) -> TrigPolynomial:
+def extract_dual_witness(sol: LpSolution, problem: LpProblem) -> TrigPolynomial:
     """Assemble the dual multipliers into a grid witness certifying M.
 
     Each multiplier is spread uniformly over its character orbit, which makes
     the polynomial constant on point orbits; dual feasibility then gives
     h' <= 0 pointwise on every ORT/UB grid point, h'(0) = M, coefficients
     >= 0 with the constant term 1.  The certificate is validated through
-    ``delsarte_bound`` against all ORT/UB grid points before being returned.
+    ``delsarte_bound`` (tolerance ``DEFAULT_EPS``) against all ORT/UB grid
+    points before being returned; h(0) and the certified bound must each be
+    within ``GAP_TOLERANCE`` of M.
     """
     if sol.status != "optimal":
         raise ValueError("dual witness extraction needs an optimal solution")
@@ -647,18 +649,16 @@ def extract_dual_witness(
     if not witness.even:
         raise CertificateError("assembled witness is not even")
     h0 = float(witness.value_at_zero())
-    if abs(h0 - sol.M) > gap_tolerance:
+    if abs(h0 - sol.M) > GAP_TOLERANCE:
         raise CertificateError(
-            f"duality gap {abs(h0 - sol.M):.3e} exceeds {gap_tolerance}"
+            f"duality gap {abs(h0 - sol.M):.3e} exceeds {GAP_TOLERANCE}"
         )
-    report = delsarte_bound(
-        witness, allowed=None, samples=problem.member_matrix, eps=eps
-    )
+    report = delsarte_bound(witness, samples=problem.member_matrix)
     if not report.valid:
         raise CertificateError(
             "certificate failed witness validation: " + "; ".join(report.messages)
         )
-    if abs(float(report.bound) - sol.M) > gap_tolerance:
+    if abs(float(report.bound) - sol.M) > GAP_TOLERANCE:
         raise CertificateError(
             f"certified bound {report.bound} differs from M={sol.M}"
         )

@@ -328,7 +328,7 @@ def exact_grid_codes(
     return codes.ravel()
 
 
-def _float_codes_chunk(d: int, m: int, lo: int, hi: int, eps: float) -> np.ndarray:
+def _float_codes_chunk(d: int, m: int, lo: int, hi: int) -> np.ndarray:
     n = d - 1
     idx = np.arange(lo, hi, dtype=np.int64)
     digits = _decode_digits(idx, m, n)
@@ -338,26 +338,21 @@ def _float_codes_chunk(d: int, m: int, lo: int, hi: int, eps: float) -> np.ndarr
         s = s + roots[digits[:, j]]
     v = np.abs(s) ** 2
     codes = np.full(idx.size, CODE_FORBIDDEN, dtype=np.uint8)
-    codes[np.abs(v) <= eps] = CODE_ORT
-    codes[np.abs(v - d) <= eps] = CODE_UB
+    codes[np.abs(v) <= DEFAULT_EPS] = CODE_ORT
+    codes[np.abs(v - d) <= DEFAULT_EPS] = CODE_UB
     if lo == 0:
         codes[0] = CODE_ZERO
     return codes
 
 
-def float_grid_codes(
-    d: int,
-    m: int,
-    eps: float = DEFAULT_EPS,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Class codes of every grid point via the floating path (cross-check)."""
+def float_grid_codes(d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """Class codes of every grid point via the floating path (cross-check).
+
+    Tolerance ``DEFAULT_EPS``; the chunks run on one thread per core.
+    """
     total = _check_budget(d, m, budget)
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    parts = run_chunked(
-        lambda b: _float_codes_chunk(d, m, b[0], b[1], eps), bounds, workers
-    )
+    parts = run_chunked(lambda b: _float_codes_chunk(d, m, *b), bounds)
     return np.concatenate(parts)
 
 

@@ -157,11 +157,12 @@ def _grid_residues(point: TorusPoint, grid: int) -> tuple[int, ...]:
     return tuple((a * scale) % grid for a in point.coords)
 
 
-def eval_trig(t: TrigPolynomial, point: TorusPoint, eps: float = DEFAULT_EPS):
+def eval_trig(t: TrigPolynomial, point: TorusPoint):
     """Evaluate sum_gamma c_gamma e^(2 pi i <gamma, x>) at a torus point.
 
-    Even polynomials return the real part (the imaginary part must be
-    negligible and is discarded); others return a complex value.
+    Even polynomials return the real part (the imaginary part must be within
+    ``DEFAULT_EPS`` times the coefficient mass, and is discarded); others
+    return a complex value.
     """
     if point.dim != t.dim:
         raise ValueError(f"point has dim {point.dim}, expected {t.dim}")
@@ -181,7 +182,7 @@ def eval_trig(t: TrigPolynomial, point: TorusPoint, eps: float = DEFAULT_EPS):
             )
     if t.even:
         scale = max(1.0, sum(abs(complex(c)) for c in t.terms.values()))
-        if abs(total.imag) > eps * scale:
+        if abs(total.imag) > DEFAULT_EPS * scale:
             raise InversionMismatchError(
                 f"even polynomial produced imaginary part {total.imag:.3g}"
             )
@@ -369,11 +370,11 @@ def delsarte_bound(
     return DelsarteReport(not messages, bound, min_coeff, max_sample, tuple(messages))
 
 
-def ort_ub_predicate(d: int, eps: float = DEFAULT_EPS):
-    """Membership test for the allowed set ORT_d union UB_d."""
+def ort_ub_predicate(d: int):
+    """Membership test for the allowed set ORT_d union UB_d (``classify``)."""
 
     def allowed(p: TorusPoint) -> bool:
-        return classify(p, d, eps) in (PointClass.ORT, PointClass.UB)
+        return classify(p, d) in (PointClass.ORT, PointClass.UB)
 
     return allowed
 

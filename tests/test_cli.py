@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from mublp import cli
 from mublp import lp as lpmod
 from mublp import witness as witnessmod
+from mublp.config import resolve_workers
 from mublp.simplex import UNBOUNDED
 from mublp.torus import CODE_UB, enumerate_grid
 
@@ -282,24 +284,27 @@ def test_witness_sample_cube_honours_enum_budget(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["valid"]
 
 
-@pytest.mark.parametrize("argv,env,code", [
-    (["--eps-feas", "0"], {}, cli.EXIT_USAGE),
-    (["--eps-feas", "-1"], {}, cli.EXIT_USAGE),
-    (["--eps-feas", "9e-9"], {}, cli.EXIT_USAGE),
-    (["--eps-feas", "nan"], {}, cli.EXIT_USAGE),
-    ([], {"MUBLP_EPS_FEAS": "-1"}, cli.EXIT_USAGE),
-    (["--max-rounds", "0"], {}, cli.EXIT_USAGE),
-    ([], {"MUBLP_LP_MAX_ROUNDS": "0"}, cli.EXIT_USAGE),
-    (["--add-per-round", "0"], {}, cli.EXIT_USAGE),
-    (["--add-per-round", "-3"], {}, cli.EXIT_USAGE),
+# (case number, argv, exit code); fixed ids, so deleting a case renumbers
+# no other
+_LP_OPTION_CASES = [
+    (0, ["--eps-feas", "0"], cli.EXIT_USAGE),
+    (1, ["--eps-feas", "-1"], cli.EXIT_USAGE),
+    (2, ["--eps-feas", "9e-9"], cli.EXIT_USAGE),
+    (3, ["--eps-feas", "nan"], cli.EXIT_USAGE),
+    (5, ["--max-rounds", "0"], cli.EXIT_USAGE),
+    (7, ["--add-per-round", "0"], cli.EXIT_USAGE),
+    (8, ["--add-per-round", "-3"], cli.EXIT_USAGE),
     # the smallest accepted values
-    (["--eps-feas", str(lpmod.ROW_TOL), "--add-per-round", "1"], {}, cli.EXIT_OK),
-    (["--max-rounds", "1"], {}, cli.EXIT_CHECK_FAILED),
+    (9, ["--eps-feas", str(lpmod.ROW_TOL), "--add-per-round", "1"], cli.EXIT_OK),
+    (10, ["--max-rounds", "1"], cli.EXIT_CHECK_FAILED),
+]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(argv, code, id=f"argv{i}-env{i}-{code}")
+    for i, argv, code in _LP_OPTION_CASES
 ])
-def test_out_of_range_lp_options_are_usage_errors(capsys, monkeypatch, argv,
-                                                  env, code):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
     assert cli.main(["lp", "--d", "4", "--m", "6", *argv]) == code
     out, err = capsys.readouterr()
     assert "internal" not in err
@@ -311,6 +316,32 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, monkeypatch, argv,
             lpmod.solve_lp(problem).M, abs=1e-9)
     else:
         assert err == "error: no convergence after 1 constraint-generation rounds\n"
+
+
+def test_environment_never_changes_a_setting(capsys, monkeypatch):
+    argv = ["lp", "--d", "4", "--m", "6"]
+    hostile = {"MUBLP_EPS_FEAS": "-1", "MUBLP_LP_MAX_ROUNDS": "0",
+               "MUBLP_ENUM_BUDGET": "1", "MUBLP_WORKERS": "1"}
+    for name in hostile:
+        monkeypatch.delenv(name, raising=False)
+    assert cli.main(argv) == cli.EXIT_OK
+    unset = capsys.readouterr().out
+    for name, value in hostile.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == unset
+    assert resolve_workers(None) == os.cpu_count()
+
+
+@pytest.mark.parametrize("command", ["lp", "export-lp"])
+def test_raw_and_shift_symmetry_together_are_usage_errors(capsys, command):
+    # the raw LP has singleton orbits, which the shift maps cannot merge
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--d", "3", "--m", "3",
+                  "--no-orbit-symmetry", "--shift-symmetry"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert ("argument --shift-symmetry: not allowed with argument "
+            "--no-orbit-symmetry") in capsys.readouterr().err
 
 
 _REQUIRED_ARGS = {

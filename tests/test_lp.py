@@ -230,6 +230,11 @@ def _orbits_reference(d, m, use_shift, symmetric):
 @pytest.mark.parametrize("use_shift", [False, True])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_build_orbits_matches_dict_reference(d, m, use_shift, symmetric):
+    if use_shift and not symmetric:
+        # singleton orbits leave the shift maps nothing to merge
+        with pytest.raises(ValueError, match="shift symmetry needs orbit symmetry"):
+            build_orbits(d, m, use_shift_symmetry=True, symmetric=False)
+        return
     table = build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
     got = [(o.representative, tuple(map(tuple, o.members.tolist())), {o.point_class})
            for o in table.orbits]
@@ -728,6 +733,32 @@ def test_pseudo_mub_check_rejects_negative_weight():
         terms[(1, 2)] = weight          # (1, 2) is ORT
         report = pseudo_mub_check(TrigPolynomial.from_terms(2, terms, grid=3), 3)
         assert report.support_ok is support_ok, weight
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_complete_family_is_an_lp_primal_of_mass_d_squared(p):
+    # the difference counts of prime_mubs(p), scaled to f(0) = 1 and averaged
+    # over each orbit, meet the LP's scan and every one of its rows
+    counts = _family_counts(family_to_points(prime_mubs(p)))
+    n = p - 1
+    place = p ** np.arange(n - 1, -1, -1)
+    f = np.zeros(p ** n)
+    for y, count in counts.items():
+        f[np.dot(y, place)] = count
+    f /= f[0]
+    prob = build_pseudo_mub_lp(p, p, build_orbits(p, p))
+    members = prob.member_matrix @ place
+    outside = f.copy()
+    outside[0] = 0.0
+    outside[members] = 0.0
+    assert not outside.any()                    # no mass off the ORT/UB members
+    weights = np.bincount(prob.member_orbit, weights=f[members],
+                          minlength=prob.n_orbits) / prob.objective
+    assert np.all((weights >= 0.0) & (weights <= 2.0))
+    assert abs(1.0 + prob.objective @ weights - p * p) <= 1e-9
+    assert _transform_scan(prob, weights).min() >= -1e-9
+    rows = np.array([prob.constraint_row(g) for g in prob.char_representatives()])
+    assert (rows @ weights).min() >= -1.0 - 1e-9
 
 
 def _family_candidate(p):
