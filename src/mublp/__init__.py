@@ -49,7 +49,7 @@ from .lp import (
     pseudo_mub_check,
     solve_lp,
 )
-from .torus import PointClass, TorusPoint, classify, difference, enumerate_grid
+from .torus import PointClass, TorusPoint, classify, difference, ort_ub_rows
 from .witness import (
     BoundReport,
     TrigPolynomial,
@@ -91,7 +91,6 @@ __all__ = [
     "delsarte_bound",
     "dephase",
     "difference",
-    "enumerate_grid",
     "eval_h",
     "eval_trig",
     "expand_h",
@@ -101,6 +100,7 @@ __all__ = [
     "fourier_matrix",
     "is_hadamard",
     "is_unbiased_pair",
+    "ort_ub_rows",
     "prime_mubs",
     "prime_power_mubs",
     "pseudo_mub_check",

@@ -5,11 +5,13 @@ default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
 failed, 2 usage or input error.  Every budget and tolerance is a flag whose
 default is its ``config.DEFAULT_*`` constant; nothing reads the environment.
+A tolerance or budget that is not finite and > 0 is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import lru_cache, partial
 
@@ -108,12 +110,12 @@ def cmd_verify(args) -> int:
 def cmd_grid(args) -> int:
     d, m, budget = args.d, args.m, args.enum_budget
     if args.format == "json":
-        part = torus.enumerate_grid(d, m, budget=budget, workers=args.workers)
+        rows, codes = torus.ort_ub_rows(d, m, budget=budget, workers=args.workers)
         payload = {
             "d": d,
             "m": m,
-            "ort": [list(p.coords) for p in part.ort],
-            "ub": [list(p.coords) for p in part.ub],
+            "ort": rows[codes == torus.CODE_ORT].tolist(),
+            "ub": rows[codes == torus.CODE_UB].tolist(),
         }
         _emit(args, payload)
     else:
@@ -129,20 +131,15 @@ def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
     budget = args.enum_budget
-    samples: list = []
-    if args.sample_m > 1:
-        part = torus.enumerate_grid(d, args.sample_m, budget=budget,
-                                    workers=args.workers)
-        samples = part.ort + part.ub
-    # enumerate_grid classified every sample exactly: all are ORT or UB
-    report = witness.delsarte_bound(poly, samples=samples, eps=args.eps,
+    rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=budget, workers=args.workers)
+    report = witness.delsarte_bound(poly, rows, grid=args.sample_m, eps=args.eps,
                                     budget=budget)
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
     payload["constant_term"] = str(poly.constant_term())
     payload["valid"] = report.valid
     payload["max_sample_value"] = report.max_sample_value
-    payload["sample_count"] = len(samples)
+    payload["sample_count"] = len(rows)
     _emit(args, payload)
     return EXIT_OK if report.valid else EXIT_CHECK_FAILED
 
@@ -265,6 +262,22 @@ def cmd_export_lp(args) -> int:
 # parser
 
 
+def _positive(convert):
+    """argparse type of a setting: ``convert(text)``, finite and > 0."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:          # nan fails too
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {convert.__name__} > 0, not {text!r}")
+        return value
+
+    return parse
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call."""
@@ -285,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, required=True, help="dimension d >= 2")
         p.add_argument("--out", help="output file (default: stdout)")
         if eps:
-            p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+            p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
                            help="floating tolerance (default %(default)g)")
         if grid:
-            p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
+            p.add_argument("--enum-budget", type=_positive(int),
+                           default=DEFAULT_ENUM_BUDGET,
                            help="grid enumeration budget (default %(default)d)")
             p.add_argument("--workers", type=int, default=None,
                            help="worker threads for scans (default: one per core)")
@@ -320,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="exact witness expansion and its bound")
     common(p, eps=True, grid=True)
-    p.add_argument("--sample-m", type=int, default=4,
+    p.add_argument("--sample-m", type=_positive(int), default=4,
                    help="grid order for allowed-set samples (default 4)")
     p.set_defaults(func=cmd_witness)
 
@@ -331,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sidon", help="search/verify Sidon sets mod d^2")
     common(p, eps=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SIDON_BUDGET,
+    p.add_argument("--budget", type=_positive(int), default=DEFAULT_SIDON_BUDGET,
                    help="search node budget (default %(default)d)")
     p.set_defaults(func=cmd_sidon)
 

@@ -81,10 +81,9 @@ from .torus import (
     PointClass,
     _decode_digits,
     exact_codes,
-    exact_grid_codes,
-    is_ort_ub,
     multiset_rank_tables,
     multiset_ranks,
+    ort_ub_rows,
 )
 from .witness import TrigPolynomial, _transform, delsarte_bound
 
@@ -274,12 +273,9 @@ def build_orbits(
     """
     if use_shift_symmetry and not symmetric:
         raise ValueError("shift symmetry needs orbit symmetry")
-    codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    points = np.flatnonzero(is_ort_ub(codes))
-    point_codes = codes[points]
-    del codes                   # frees the cube before the members are decoded
-    digits = _decode_digits(points, m, d - 1)
-    keys = canonical_codes(digits, m, use_shift_symmetry) if symmetric else points
+    digits, point_codes = ort_ub_rows(d, m, budget=budget, workers=workers)
+    keys = (canonical_codes(digits, m, use_shift_symmetry) if symmetric
+            else digits @ m ** np.arange(d - 2, -1, -1))    # linear grid index
     reps, orbit_of = np.unique(keys, return_inverse=True)
     orbit_codes = np.empty(reps.size, dtype=np.uint8)
     orbit_codes[orbit_of] = point_codes         # the class of some member
@@ -653,7 +649,7 @@ def extract_dual_witness(sol: LpSolution, problem: LpProblem) -> TrigPolynomial:
         raise CertificateError(
             f"duality gap {abs(h0 - sol.M):.3e} exceeds {GAP_TOLERANCE}"
         )
-    report = delsarte_bound(witness, samples=problem.member_matrix)
+    report = delsarte_bound(witness, problem.member_matrix)
     if not report.valid:
         raise CertificateError(
             "certificate failed witness validation: " + "; ".join(report.messages)

@@ -22,7 +22,8 @@ arithmetic on its root-of-unity multiplicity counts.  Small rank tables
 ("multiset of rank r plus coordinate a") give, by broadcasting, the multiset
 rank of every point in C order, and the codes are gathered in slabs of whole
 leading coordinates.  The slabs are fixed by (d, m), so results do not
-depend on the worker count.
+depend on the worker count.  ``ort_ub_rows`` lists the ORT/UB grid points
+as lexicographic digit rows with their codes.
 """
 
 from __future__ import annotations
@@ -356,33 +357,22 @@ def float_grid_codes(d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.nd
     return np.concatenate(parts)
 
 
-@dataclass
-class GridPartition:
-    """The ORT/UB points of an m-grid, each list in lexicographic order."""
-
-    d: int
-    m: int
-    ort: list[TorusPoint]
-    ub: list[TorusPoint]
-
-
-def enumerate_grid(
+def ort_ub_rows(
     d: int,
     m: int,
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int | None = None,
-) -> GridPartition:
-    """Exhaustively classify all m**(d-1) exact grid points (exact path).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ORT/UB points of the m-grid on T^(d-1), exact path only.
 
-    The zero point is excluded from both lists.
+    Returns their (k, d-1) digit rows in lexicographic order and their uint8
+    class codes (CODE_ORT or CODE_UB); the zero point is in neither class.
     """
     codes = exact_grid_codes(d, m, budget=budget, workers=workers)
     indices = np.flatnonzero(is_ort_ub(codes))
-    points = {}
-    for code in (CODE_ORT, CODE_UB):
-        digits = _decode_digits(indices[codes[indices] == code], m, d - 1)
-        points[code] = [TorusPoint.exact(m, row) for row in digits.tolist()]
-    return GridPartition(d=d, m=m, ort=points[CODE_ORT], ub=points[CODE_UB])
+    point_codes = codes[indices]
+    del codes                   # frees the cube before the rows are decoded
+    return _decode_digits(indices, m, d - 1), point_codes
 
 
 def grid_to_csv(

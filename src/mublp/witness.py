@@ -28,6 +28,8 @@ characters) and pseudo-MUB candidate functions (weights on points).
 Values on a grid come from one FFT evaluator, ``_transform`` (``grid_values``,
 ``delsarte_bound``, ``lp.pseudo_mub_check``); ``eval_trig`` is the scalar
 reference, and ``check_point_set`` evaluates at family points off any grid.
+``delsarte_bound`` takes its samples as integer residue rows on one grid,
+such as the ORT/UB rows of ``torus.ort_ub_rows``.
 """
 
 from __future__ import annotations
@@ -297,8 +299,8 @@ class DelsarteReport:
 
 def delsarte_bound(
     t: TrigPolynomial,
-    allowed=None,
-    samples=(),
+    samples=None,
+    grid: int | None = None,
     eps: float = DEFAULT_EPS,
     budget: int | None = None,
 ) -> DelsarteReport:
@@ -306,38 +308,32 @@ def delsarte_bound(
 
     Checks: t is even; all Fourier coefficients are nonnegative (exactly for
     rational coefficients, within eps for floats); t <= eps-scaled zero on
-    every supplied allowed-set sample point.  ``allowed``, when given, is a
-    predicate each sample must satisfy (callers pass an ORT/UB membership
-    test).  Any violation marks the bound invalid rather than raising.
+    every sample.  Any violation marks the bound invalid rather than raising.
 
-    ``samples`` are ``TorusPoint``s or, for a grid-mode ``t``, a (k, dim)
-    integer array of residues (without ``allowed``).  All values come from one
-    ``_transform`` on ``t.grid``, or for a continuous ``t`` on the samples'
-    shared denominator (float samples or mixed denominators: ``ValueError``;
-    a cube over ``budget`` points, ``DEFAULT_ENUM_BUDGET`` when None:
+    ``samples`` is a (k, dim) integer array of residue rows: row y is the
+    point y / grid, which callers take from the ORT/UB points.  ``grid``
+    defaults to ``t.grid``; a continuous ``t`` with samples must name it,
+    and a grid-mode ``t`` accepts no other.  All values come from one
+    ``_transform`` on ``grid``; for a continuous ``t`` that cube is refused
+    when over ``budget`` points (``DEFAULT_ENUM_BUDGET`` when None:
     ``BudgetExceededError``).
     """
-    grid = t.grid
-    if isinstance(samples, np.ndarray):
-        if grid is None or allowed is not None:
-            raise ValueError(
-                "residue samples need a grid-mode witness and no allowed predicate"
-            )
-        if (samples.ndim != 2 or samples.shape[1] != t.dim
-                or not np.issubdtype(samples.dtype, np.integer)):
-            raise ValueError(f"residue samples must be integers of shape (k, {t.dim})")
-        residues = samples % grid
-    else:
-        samples = list(samples)
+    if grid is None:
+        grid = t.grid
+    elif t.grid is not None and grid != t.grid:
+        raise ValueError(f"samples on grid {grid} for a witness on grid {t.grid}")
+    if samples is None:
+        samples = np.zeros((0, t.dim), dtype=np.int64)
+    residues = np.asarray(samples)
+    if (residues.ndim != 2 or residues.shape[1] != t.dim
+            or not np.issubdtype(residues.dtype, np.integer)):
+        raise ValueError(f"residue samples must be integers of shape (k, {t.dim})")
+    if len(residues):
         if grid is None:
-            denominators = {p.denominator for p in samples}
-            if None in denominators or len(denominators) > 1:
-                raise ValueError("continuous witness: samples need one exact denominator")
-            grid = denominators.pop() if denominators else 1
+            raise ValueError("continuous witness: residue samples need a grid")
+        if t.grid is None:
             _check_budget(t.dim + 1, grid,
                           DEFAULT_ENUM_BUDGET if budget is None else budget)
-        rows = [_grid_residues(p, grid) for p in samples]
-        residues = np.array(rows, dtype=np.int64).reshape(len(rows), t.dim)
     messages = []
     if not t.even:
         messages.append("polynomial is not even")
@@ -356,15 +352,9 @@ def delsarte_bound(
     bound = h0 / term0 if exact else float(h0) / float(term0)
     tol = eps * max(1.0, abs(float(h0)))
 
-    if allowed is not None:
-        for p in samples:
-            if not allowed(p):
-                messages.append(f"sample {p} is not in the allowed set")
-                return DelsarteReport(False, bound, min_coeff, 0.0,
-                                      tuple(messages))
     max_sample = 0.0
     if len(residues):
-        max_sample = float(_transform(t, grid)[tuple(residues.T)].real.max())
+        max_sample = float(_transform(t, grid)[tuple((residues % grid).T)].real.max())
         if max_sample > tol:
             messages.append(f"witness is positive on an allowed sample: {max_sample:.3g}")
     return DelsarteReport(not messages, bound, min_coeff, max_sample, tuple(messages))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,10 +13,11 @@ import pytest
 
 from mublp import cli
 from mublp import lp as lpmod
+from mublp import torus as torusmod
 from mublp import witness as witnessmod
 from mublp.config import resolve_workers
 from mublp.simplex import UNBOUNDED
-from mublp.torus import CODE_UB, enumerate_grid
+from mublp.torus import CODE_UB, ort_ub_rows
 
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
@@ -218,9 +220,9 @@ def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch):
-    codes = lpmod.exact_grid_codes(3, 3)
+    codes = torusmod.exact_grid_codes(3, 3)
     codes[2 * 3 + 1] = CODE_UB            # (2, 1) is ORT, like (1, 2) in its orbit
-    monkeypatch.setattr(lpmod, "exact_grid_codes", lambda *a, **k: codes)
+    monkeypatch.setattr(torusmod, "exact_grid_codes", lambda *a, **k: codes)
     code = cli.main(["lp", "--d", "3", "--m", "3",
                      "--dual-witness", str(tmp_path / "dw.json")])
     out, err = capsys.readouterr()
@@ -262,7 +264,7 @@ def test_unbounded_master_exits_internal(tmp_path, capsys, monkeypatch):
 
 
 def test_witness_takes_its_samples_as_classified(capsys, monkeypatch):
-    # enumerate_grid already classified every sample; none is classified again
+    # ort_ub_rows already classified every sample; none is classified again
     def refuse(*args, **kwargs):
         raise AssertionError("sample classified twice")
 
@@ -271,8 +273,8 @@ def test_witness_takes_its_samples_as_classified(capsys, monkeypatch):
     assert cli.main(["witness", "--d", "5", "--sample-m", "6"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] and payload["bound"] == "25"
-    grid = enumerate_grid(5, 6)
-    assert payload["sample_count"] == len(grid.ort) + len(grid.ub)
+    rows, _ = ort_ub_rows(5, 6)
+    assert payload["sample_count"] == len(rows)
     assert abs(payload["max_sample_value"]) < 1e-9
 
 
@@ -316,6 +318,66 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
             lpmod.solve_lp(problem).M, abs=1e-9)
     else:
         assert err == "error: no convergence after 1 constraint-generation rounds\n"
+
+
+# (case number, argv, exit code): a tolerance that is not finite and > 0,
+# and a budget or sample grid below 1, stop at the parser
+_RANGE_CASES = [
+    (0, ["construct", "--d", "5", "--kind", "prime", "--eps", "-1"], cli.EXIT_USAGE),
+    (1, ["construct", "--d", "5", "--kind", "prime", "--eps", "nan"], cli.EXIT_USAGE),
+    (2, ["construct", "--d", "5", "--kind", "prime", "--eps", "inf"], cli.EXIT_USAGE),
+    (3, ["construct", "--d", "5", "--kind", "prime", "--eps", "0"], cli.EXIT_USAGE),
+    (4, ["witness", "--d", "3", "--eps", "-1"], cli.EXIT_USAGE),
+    (5, ["witness", "--d", "3", "--enum-budget", "-1"], cli.EXIT_USAGE),
+    (6, ["grid", "--d", "3", "--m", "3", "--enum-budget", "0"], cli.EXIT_USAGE),
+    (7, ["lp", "--d", "3", "--m", "3", "--enum-budget", "-5"], cli.EXIT_USAGE),
+    (8, ["sidon", "--d", "3", "--budget", "-1"], cli.EXIT_USAGE),
+    (9, ["sidon", "--d", "3", "--budget", "0"], cli.EXIT_USAGE),
+    (10, ["witness", "--d", "3", "--sample-m", "0"], cli.EXIT_USAGE),
+    (11, ["witness", "--d", "3", "--sample-m", "-2"], cli.EXIT_USAGE),
+    (12, ["verify", "family.json", "--eps", "abc"], cli.EXIT_USAGE),
+    # the smallest accepted values
+    (13, ["witness", "--d", "3", "--sample-m", "1", "--enum-budget", "1"], cli.EXIT_OK),
+    (14, ["construct", "--d", "5", "--kind", "prime", "--eps", "1e-6"], cli.EXIT_OK),
+    (15, ["sidon", "--d", "3", "--budget", "1"], cli.EXIT_CHECK_FAILED),
+]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(argv, code, id=f"case{i}-{code}") for i, argv, code in _RANGE_CASES
+])
+def test_out_of_range_settings_are_usage_errors(capsys, argv, code):
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:                 # argparse's usage exit
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if code == cli.EXIT_USAGE:
+        flag = argv[-2]
+        assert out == "" and f"argument {flag}: must be " in err
+    elif argv[0] == "witness":
+        assert json.loads(out)["sample_count"] == 0
+
+
+# sha256 of the stdout of fixed runs: the witness over its sample grid, the
+# witness without a grid flag, and the ORT/UB listing
+_PINNED_STDOUT = [
+    (["witness", "--d", "4", "--sample-m", "6"],
+     "c5129744566f35c7edb215a472deb88106ce443aea43aae386d6821c96435e01"),
+    (["witness", "--d", "6"],
+     "fa027b3b6bbcfdaa823a3a00d8f42ef87ba2b14de679fa74cc049d0f87aa8f59"),
+    (["grid", "--d", "5", "--m", "6", "--format", "json"],
+     "97467b546a605de43395b78d63b7f85a450ed1af7548f493fe3d12aecca58a82"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PINNED_STDOUT,
+                         ids=["witness-d4-m6", "witness-d6", "grid-d5-m6-json"])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_environment_never_changes_a_setting(capsys, monkeypatch):

@@ -94,12 +94,12 @@ def test_orbit_table_generators():
 
 
 def test_orbit_sizes_partition_the_grid_classes():
-    from mublp.torus import enumerate_grid
+    from mublp.torus import ort_ub_rows
 
     for d, m in [(3, 4), (4, 3), (6, 4), (2, 8)]:
         table = build_orbits(d, m)
-        grid = enumerate_grid(d, m)
-        assert table.total_points() == len(grid.ort) + len(grid.ub)
+        rows, _ = ort_ub_rows(d, m)
+        assert table.total_points() == len(rows)
         members = [y for o in table.orbits for y in map(tuple, o.members.tolist())]
         assert len(members) == len(set(members))
 
@@ -265,7 +265,7 @@ def test_orbit_table_arrays(d, m, use_shift):
 def test_build_orbits_rejects_orbit_with_mixed_classes(monkeypatch):
     codes = exact_grid_codes(3, 3)
     codes[2 * 3 + 1] = CODE_UB     # (2, 1) is ORT, like (1, 2) in its orbit
-    monkeypatch.setattr("mublp.lp.exact_grid_codes", lambda *a, **k: codes)
+    monkeypatch.setattr("mublp.torus.exact_grid_codes", lambda *a, **k: codes)
     with pytest.raises(AssertionError, match="mixes classes"):
         build_orbits(3, 3)
 
@@ -529,8 +529,10 @@ def test_dual_witness_certificates_small():
         cert = extract_dual_witness(sol, prob)
         assert cert.grid == m and cert.even
         assert abs(float(cert.value_at_zero()) - expected) < 1e-6
-        samples = [TorusPoint.exact(m, y) for o in prob.table.orbits for y in o.members]
-        report = delsarte_bound(cert, ort_ub_predicate(d), samples)
+        rows = prob.member_matrix
+        allowed = ort_ub_predicate(d)
+        assert all(allowed(TorusPoint.exact(m, y)) for y in rows.tolist())
+        report = delsarte_bound(cert, rows)
         assert report.valid
         assert abs(float(report.bound) - sol.M) < 1e-6
 
@@ -560,8 +562,10 @@ def test_dual_witness_with_shift_symmetry():
     sol = solve_lp(prob)
     assert abs(sol.M - 9.0) < 1e-6
     cert = extract_dual_witness(sol, prob)
-    samples = [TorusPoint.exact(3, y) for o in prob.table.orbits for y in o.members]
-    report = delsarte_bound(cert, ort_ub_predicate(3), samples)
+    rows = prob.member_matrix
+    allowed = ort_ub_predicate(3)
+    assert all(allowed(TorusPoint.exact(3, y)) for y in rows.tolist())
+    report = delsarte_bound(cert, rows)
     assert report.valid and abs(float(report.bound) - sol.M) < 1e-6
 
 
@@ -589,18 +593,16 @@ def _values_at(t, rows):
 def test_delsarte_bound_accepts_residue_samples(d, m):
     prob, cert = _certificate(d, m)
     rows = prob.member_matrix
-    # (4,6) has 49 members and (5,12) 1060; the point lists and the residue
-    # arrays name the same grid points, so both forms give one report
+    # (4,6) has 49 members and (5,12) 1060; the grid defaults to the
+    # witness's own, and nested lists are the same rows
     for sample_rows in (rows, rows[:64], rows[:1]):
-        points = [TorusPoint.exact(m, y) for y in sample_rows.tolist()]
-        want = delsarte_bound(cert, samples=points)
-        got = delsarte_bound(cert, samples=sample_rows)
-        _assert_same_report(got, want)
+        got = delsarte_bound(cert, sample_rows)
+        _assert_same_report(delsarte_bound(cert, sample_rows, grid=m), got)
+        _assert_same_report(delsarte_bound(cert, sample_rows.tolist()), got)
         assert got.valid
         assert abs(got.max_sample_value - _values_at(cert, sample_rows).max()) <= 1e-9
     # unreduced residues name the same grid points
-    _assert_same_report(delsarte_bound(cert, samples=rows + m),
-                        delsarte_bound(cert, samples=rows))
+    _assert_same_report(delsarte_bound(cert, rows + m), delsarte_bound(cert, rows))
 
 
 @pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
@@ -622,27 +624,27 @@ def test_residue_samples_catch_a_positive_member(d, m):
     others = rows[_values_at(bad, rows) <= 1e-9]
     for sample_rows in (np.vstack([others, y]), np.vstack([y, others]),
                         np.vstack([others[:10], y])):
-        points = [TorusPoint.exact(m, r) for r in sample_rows.tolist()]
-        want = delsarte_bound(bad, samples=points)
-        got = delsarte_bound(bad, samples=sample_rows)
+        got = delsarte_bound(bad, sample_rows)
         assert not got.valid
         assert abs(got.max_sample_value - 1.0) <= 1e-9
-        _assert_same_report(got, want)
-    assert delsarte_bound(bad, samples=others).valid
+        assert abs(got.max_sample_value - _values_at(bad, sample_rows).max()) <= 1e-12
+    assert delsarte_bound(bad, others).valid
 
 
 def test_residue_samples_reject_bad_shapes_and_predicates():
     prob, cert = _certificate(3, 3)
     with pytest.raises(ValueError):
-        delsarte_bound(cert, samples=prob.member_matrix[:, :1])
+        delsarte_bound(cert, prob.member_matrix[:, :1])
     with pytest.raises(ValueError):
-        delsarte_bound(cert, samples=prob.member_matrix.astype(float))
-    with pytest.raises(ValueError):
-        delsarte_bound(cert, ort_ub_predicate(3), prob.member_matrix)
+        delsarte_bound(cert, prob.member_matrix.astype(float))
+    with pytest.raises(ValueError):           # a predicate is no residue array
+        delsarte_bound(cert, ort_ub_predicate(3))
+    with pytest.raises(ValueError):           # the certificate lives on grid 3
+        delsarte_bound(cert, prob.member_matrix, grid=6)
 
 
 def _reference_witness(sol, prob):
-    """The certificate assembled from BFS orbits and checked on TorusPoints."""
+    """The certificate assembled from BFS orbits and checked on the members."""
     m, n = prob.m, prob.d - 1
     terms = {(0,) * n: 1.0}
     for rep, lam in sol.dual.items():
@@ -655,8 +657,7 @@ def _reference_witness(sol, prob):
         for gamma in orbit:
             terms[gamma] = terms.get(gamma, 0.0) + lam / len(orbit)
     cert = TrigPolynomial.from_terms(n, terms, grid=m)
-    samples = [TorusPoint.exact(m, y) for y in prob.member_matrix.tolist()]
-    report = delsarte_bound(cert, samples=samples)
+    report = delsarte_bound(cert, prob.member_matrix)
     assert report.valid and abs(float(report.bound) - sol.M) <= 1e-4
     return cert
 
@@ -672,9 +673,9 @@ def test_extract_dual_witness_matches_reference_assembly(
     sol = solve_lp(prob)
     checked = []
 
-    def spy(t, allowed=None, samples=(), eps=1e-9):
+    def spy(t, samples=None, **kwargs):
         checked.append(samples)
-        return delsarte_bound(t, allowed, samples, eps)
+        return delsarte_bound(t, samples, **kwargs)
 
     monkeypatch.setattr("mublp.lp.delsarte_bound", spy)
     cert = extract_dual_witness(sol, prob)

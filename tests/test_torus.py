@@ -16,11 +16,11 @@ from mublp.torus import (
     classify,
     column_to_point,
     difference,
-    enumerate_grid,
     exact_grid_codes,
     float_grid_codes,
     grid_to_csv,
     is_ort_ub,
+    ort_ub_rows,
 )
 
 
@@ -91,17 +91,33 @@ def test_column_to_point_snap_fallback():
     assert not p.is_exact
 
 
-def test_enumerate_grid_examples():
-    g = enumerate_grid(3, 3)
-    assert len(g.ort) == 2 and len(g.ub) == 6
-    assert {p.coords for p in g.ort} == {(1, 2), (2, 1)}
-    g = enumerate_grid(2, 2)
-    assert len(g.ort) == 1 and len(g.ub) == 0
-    g = enumerate_grid(6, 4)
-    assert len(g.ub) == 0
+def _class_sets(d, m):
+    """The ORT and UB points of ``ort_ub_rows``, as sets of coordinate tuples."""
+    rows, codes = ort_ub_rows(d, m)
+    return tuple({tuple(r) for r in rows[codes == code].tolist()}
+                 for code in (CODE_ORT, CODE_UB))
 
 
-def test_enumerate_grid_d3m3_against_direct_arithmetic():
+def test_ort_ub_rows_examples():
+    ort, ub = _class_sets(3, 3)
+    assert ort == {(1, 2), (2, 1)} and len(ub) == 6
+    assert _class_sets(2, 2) == ({(1,)}, set())
+    assert _class_sets(6, 4)[1] == set()
+    # lexicographic rows of every ORT/UB point, with its exact code
+    for d, m in [(3, 3), (4, 6), (5, 4)]:
+        rows, codes = ort_ub_rows(d, m)
+        assert rows.shape == (codes.size, d - 1) and rows.dtype == np.int64
+        assert rows.tolist() == sorted(rows.tolist())
+        grid = exact_grid_codes(d, m)
+        linear = rows @ m ** np.arange(d - 2, -1, -1)
+        assert np.array_equal(grid[linear], codes)
+        assert np.array_equal(np.flatnonzero(is_ort_ub(grid)), linear)
+    # m = 1 has only the zero point
+    rows, codes = ort_ub_rows(4, 1)
+    assert rows.shape == (0, 3) and codes.size == 0
+
+
+def test_ort_ub_rows_d3m3_against_direct_arithmetic():
     # independent oracle: direct complex arithmetic over all 9 points
     ort, ub = set(), set()
     w = np.exp(2j * np.pi / 3)
@@ -113,12 +129,10 @@ def test_enumerate_grid_d3m3_against_direct_arithmetic():
             ort.add((a, b))
         elif abs(v - 3) < 1e-9:
             ub.add((a, b))
-    g = enumerate_grid(3, 3)
-    assert {p.coords for p in g.ort} == ort
-    assert {p.coords for p in g.ub} == ub
+    assert _class_sets(3, 3) == (ort, ub)
 
 
-def test_enumerate_grid_d6m4_ub_empty_by_direct_scan():
+def test_ort_ub_rows_d6m4_ub_empty_by_direct_scan():
     # |z|^2 = 6 has no Gaussian-integer solutions; confirm by float scan
     roots = 1j ** np.arange(4)
     for point in itertools.product(range(4), repeat=5):
@@ -128,7 +142,7 @@ def test_enumerate_grid_d6m4_ub_empty_by_direct_scan():
 
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
-        enumerate_grid(6, 16, budget=1000)
+        ort_ub_rows(6, 16, budget=1000)
 
 
 def test_multiset_count_matrices_count_against_the_budget():
@@ -145,12 +159,10 @@ def test_multiset_count_matrices_count_against_the_budget():
 
 def test_grid_lists_closed_under_negation_and_permutation():
     for d, m in [(3, 5), (4, 4), (5, 3)]:
-        g = enumerate_grid(d, m)
-        for points in (g.ort, g.ub):
-            coords = {p.coords for p in points}
-            for p in points:
-                assert negate(p).coords in coords
-                for perm in itertools.permutations(p.coords):
+        for coords in _class_sets(d, m):
+            for p in coords:
+                assert tuple((-a) % m for a in p) in coords
+                for perm in itertools.permutations(p):
                     assert perm in coords
 
 

@@ -7,7 +7,8 @@ import pytest
 from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs, prime_power_mubs
 from mublp.hadamard import family_to_points
-from mublp.torus import TorusPoint, difference, enumerate_grid
+from mublp import witness as witnessmod
+from mublp.torus import TorusPoint, difference, ort_ub_rows
 from mublp.witness import (
     InversionMismatchError,
     TrigPolynomial,
@@ -214,8 +215,10 @@ def test_check_point_set_rejects_odd_witness():
 
 
 def test_delsarte_bound_examples():
-    g = enumerate_grid(3, 3)
-    report = delsarte_bound(expand_h(3), ort_ub_predicate(3), g.ort + g.ub)
+    rows, _ = ort_ub_rows(3, 3)
+    allowed = ort_ub_predicate(3)
+    assert all(allowed(TorusPoint.exact(3, r)) for r in rows.tolist())
+    report = delsarte_bound(expand_h(3), rows, grid=3)
     assert report.valid and report.bound == 9
 
     negative = TrigPolynomial.from_terms(
@@ -229,9 +232,12 @@ def test_delsarte_bound_examples():
 
 
 def test_delsarte_bound_rejects_bad_samples():
-    forbidden = TorusPoint.exact(2, (0, 0, 0, 0, 1))
-    report = delsarte_bound(expand_h(6), ort_ub_predicate(6), [forbidden])
+    # (0, 0, 0, 0, 1/2) is forbidden for d = 6, and h = 16/3 there
+    forbidden = np.array([[0, 0, 0, 0, 1]])
+    assert not ort_ub_predicate(6)(TorusPoint.exact(2, forbidden[0]))
+    report = delsarte_bound(expand_h(6), forbidden, grid=2)
     assert not report.valid
+    assert abs(report.max_sample_value - 16 / 3) <= 1e-12
 
 
 @pytest.mark.parametrize("d", range(3, 9))
@@ -240,34 +246,42 @@ def test_delsarte_bound_matches_scalar_eval_on_grid_samples(d, m):
     # random grid points (h is far from 0 on most) and the ORT/UB points
     h = expand_h(d)
     rng = np.random.default_rng(1000 * d + m)
-    rows = rng.integers(0, m, size=(12, d - 1)).tolist()
-    part = enumerate_grid(d, m)
-    points = [TorusPoint.exact(m, r) for r in rows] + (part.ort + part.ub)[:12]
-    scalar = [eval_trig(h, p) for p in points]
-    assert abs(delsarte_bound(h, samples=points).max_sample_value
+    rows = np.vstack([rng.integers(0, m, size=(12, d - 1)), ort_ub_rows(d, m)[0][:12]])
+    scalar = [eval_trig(h, TorusPoint.exact(m, r)) for r in rows.tolist()]
+    assert abs(delsarte_bound(h, rows, grid=m).max_sample_value
                - max(scalar)) <= 1e-12
-    for p, want in list(zip(points, scalar))[:4]:
-        assert abs(delsarte_bound(h, samples=[p]).max_sample_value - want) <= 1e-12
+    for row, want in list(zip(rows, scalar))[:4]:
+        report = delsarte_bound(h, row[None, :], grid=m)
+        assert abs(report.max_sample_value - want) <= 1e-12
 
 
-def test_delsarte_bound_rejects_unevaluable_samples():
+def test_delsarte_bound_rejects_unevaluable_samples(monkeypatch):
     h = expand_h(3)
-    with pytest.raises(ValueError):
-        delsarte_bound(h, samples=[TorusPoint.from_floats([0.1, 0.2])])
-    for other in (3, 8):                      # mixed denominators, 4 | 8 too
+    rows = np.array([[1, 2]])
+    with pytest.raises(ValueError):           # a continuous witness names its grid
+        delsarte_bound(h, rows)
+    bad_rows = [
+        rows.astype(float),                   # not integers
+        np.array([[1, 2, 0]]),                # wrong width
+        np.array([1, 2]),                     # not a matrix
+        [TorusPoint.exact(4, (1, 2))],        # points, not residue rows
+    ]
+    for bad in bad_rows:
         with pytest.raises(ValueError):
-            delsarte_bound(h, samples=[TorusPoint.exact(4, (1, 0)),
-                                       TorusPoint.exact(other, (1, 2))])
-    with pytest.raises(ValueError):           # wrong dimension
-        delsarte_bound(h, samples=[TorusPoint.exact(3, (1, 2, 0))])
+            delsarte_bound(h, bad, grid=4)
     grid_mode = TrigPolynomial.from_terms(2, {(0, 0): 1.0}, grid=4)
-    with pytest.raises(ValueError):
-        delsarte_bound(grid_mode, samples=[TorusPoint.from_floats([0.1, 0.2])])
-    with pytest.raises(ValueError):           # 3 does not divide 4
-        delsarte_bound(grid_mode, samples=[TorusPoint.exact(3, (1, 2))])
+    assert delsarte_bound(grid_mode, rows, grid=4).max_sample_value == 1.0
+    for other in (2, 8):                      # only the witness's own grid
+        with pytest.raises(ValueError):
+            delsarte_bound(grid_mode, rows, grid=other)
+
     # the 5^11 sample cube is over the default budget: refused, not allocated
+    def refuse(*args):
+        raise AssertionError("the sample cube was built")
+
+    monkeypatch.setattr(witnessmod, "_transform", refuse)
     with pytest.raises(BudgetExceededError):
-        delsarte_bound(expand_h(12), samples=[TorusPoint.exact(5, (1,) * 11)])
+        delsarte_bound(expand_h(12), np.ones((1, 11), dtype=np.int64), grid=5)
 
 
 def test_delsarte_bound_exact_for_all_d():
