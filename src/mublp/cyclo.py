@@ -9,9 +9,9 @@ This is what makes torus-point classification exact: a point whose
 coordinates are rationals a_j/m gives z = 1 + sum zeta_m^(a_j), and the
 squared modulus z * conj(z) is again a cyclotomic integer that can be
 compared to 0 or to the dimension d with no tolerance at all.  The package
-classifies with the array kernel ``torus.exact_codes``, which uses only the
-power-basis table ``_zeta_power_rows``; ``CycloInt`` arithmetic is the
-scalar reference that the tests check that kernel against.
+classifies with the array kernel ``torus.exact_codes``, which builds its
+power-basis matrix from ``cyclotomic_polynomial`` alone; ``CycloInt``
+arithmetic is the scalar reference that the tests check that kernel against.
 
 Intended envelope: m <= 128 (phi(m) stays small).  Larger orders work, just
 slower.  The per-order reduction tables are cached; the cache is filled

@@ -9,21 +9,26 @@ Hadamard matrix is represented by the point (x_1, ..., x_(d-1)).  A point is
   * FORBIDDEN  otherwise.
 
 Two array kernels decide every class.  ``exact_codes`` classifies rows of
-numerators a_j over a denominator m exactly in Z[zeta_m], by integer
-arithmetic on root-of-unity multiplicity counts (the exact path is
-authoritative).  ``float_codes`` classifies rows of float coordinates in
-64-bit floating point with tolerance ``eps``.  ``classify`` is their one-point
-front end.  ``float_grid_codes`` stays apart, as the independent floating
-oracle for the exact grid scan.
+numerators a_j over a denominator m exactly in Z[zeta_m] (the exact path is
+authoritative).  A float filter goes first: |1 + sum zeta^(a_j)|^2 computed
+from a table of roots is within O(d^3 u) of its exact value (u the unit
+roundoff; the formula is ``_filter_error_bound``), so a row farther than
+1e-6 from both 0 and d is FORBIDDEN.  Only the rows near 0 or d (on every
+grid checked, exactly the ORT/UB rows) are confirmed by integer arithmetic
+on their root-of-unity multiplicity counts; for d > 13, where the bound is
+too close to 1e-6, every row is.  ``float_codes`` classifies rows of float
+coordinates in 64-bit floating point with tolerance ``eps``.  ``classify``
+is their one-point front end.  ``float_grid_codes`` stays apart, as the
+independent floating oracle for the exact grid scan.
 
 Grid enumeration is vectorised.  A point's class only depends on the
-multiset of its coordinates, so each multiset is classified once by integer
-arithmetic on its root-of-unity multiplicity counts.  Small rank tables
-("multiset of rank r plus coordinate a") give, by broadcasting, the multiset
-rank of every point in C order, and the codes are gathered in slabs of whole
-leading coordinates.  The slabs are fixed by (d, m), so results do not
-depend on the worker count.  ``ort_ub_rows`` lists the ORT/UB grid points
-as lexicographic digit rows with their codes.
+multiset of its coordinates, so each multiset is classified once by
+``exact_codes``.  Small rank tables ("multiset of rank r plus coordinate
+a") give, by broadcasting, the multiset rank of every point in C order, and
+the codes are gathered in slabs of whole leading coordinates.  The slabs
+are fixed by (d, m), so results do not depend on the worker count.
+``ort_ub_rows`` lists the ORT/UB grid points as lexicographic digit rows
+with their codes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .config import (
     DEFAULT_EPS,
     run_chunked,
 )
-from .cyclo import _zeta_power_rows
+from .cyclo import cyclotomic_polynomial
 
 
 class PointClass(enum.Enum):
@@ -222,33 +227,106 @@ def _decode_digits(indices: np.ndarray, m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _reduction_matrix(m: int) -> np.ndarray:
-    """(m, phi(m)) integer matrix sending multiplicity vectors to Z[zeta_m]."""
-    rows = _zeta_power_rows(m)
-    return np.array([rows[t] for t in range(m)], dtype=np.int64)
+    """(phi(m), m) integer matrix: column t is zeta_m**t in the power basis.
+
+    Stored this way round, ``matrix @ values.T`` runs its inner loop over
+    contiguous memory (numpy's integer matmul has no BLAS path).
+    """
+    monic = np.array(cyclotomic_polynomial(m).coeffs[:-1], dtype=np.int64)
+    matrix = np.empty((monic.size, m), dtype=np.int64)
+    power = np.zeros(monic.size, dtype=np.int64)
+    power[0] = 1
+    for lo in range(0, m, 256):     # columns in blocks, written row-wise
+        block = []
+        for _ in range(min(256, m - lo)):
+            block.append(power)
+            # times zeta, then zeta**phi(m) = -(Phi_m(zeta) - zeta**phi(m))
+            power = np.concatenate(([0], power[:-1])) - power[-1] * monic
+        matrix[:, lo : lo + len(block)] = np.array(block).T
+    return matrix
+
+
+# A row whose float |1 + sum zeta^(a_j)|^2 is farther than this from 0 and
+# from d is FORBIDDEN; the rest are decided exactly.
+_FILTER_DELTA = 1e-6
+
+
+def _filter_error_bound(d: int) -> float:
+    """Bound on |v - |S|^2| for the float v of ``exact_codes``' filter.
+
+    With u the unit roundoff, each table root is within 16u of zeta^t: its
+    angle 2*pi*t/m, t taken in [-m/2, m/2), carries three roundings (at most
+    3*pi*u), and cos and sin at most 4 ulps each.  Summing 1 and the d-1
+    roots left to right adds u * |partial sum| <= u * (k+1) at step k, so
+    the sum is off by e = 16u*(d-1) + u*d*(d+1)/2.  As |S| <= d, squaring
+    gives
+
+        |v - |S|^2| <= e*(2d + e) + 3u*(d + e)**2,
+
+    which is O(d**3 * u): about 7e-13 at d = 12.
+    """
+    u = np.finfo(float).eps / 2
+    e = 16 * u * (d - 1) + u * d * (d + 1) / 2
+    return e * (2 * d + e) + 3 * u * (d + e) ** 2
+
+
+def _confirm_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Exact class codes (ORT, UB or FORBIDDEN) of digit rows in Z[zeta_m].
+
+    The multiplicity counts c of a row (the leading 1 included) give
+    |1 + sum zeta^(a_j)|^2 = sum_s r_s zeta^s with r_s = sum_t c_t c_(t+s).
+    r is the circular autocorrelation of c, taken as irfft(|rfft(c)|^2) and
+    rounded: its entries are integers in [0, d^2], and the FFT's error is of
+    order log2(m) * u * d^2 (u the unit roundoff), far below 1/2 on every
+    grid the budgets allow, so rounding is exact; the residual is checked to
+    be below 1/4.  r is then reduced to the power basis of Z[zeta_m] and
+    compared with 0 and d.
+    """
+    length = len(digits)
+    cells = (np.arange(length) * m)[:, None] + digits
+    counts = np.bincount(cells.ravel(), minlength=length * m).reshape(length, m)
+    counts[:, 0] += 1  # the leading 1 of the column
+    spectrum = np.fft.rfft(counts, axis=1)
+    autocorr = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, n=m, axis=1)
+    corr = np.rint(autocorr)
+    residual = float(np.max(np.abs(autocorr - corr), initial=0.0))
+    if residual >= 0.25:
+        raise AssertionError(f"FFT autocorrelation off an integer by {residual}")
+    reduced = _reduction_matrix(m) @ corr.astype(np.int64).T
+    codes = np.full(length, CODE_FORBIDDEN, dtype=np.uint8)
+    codes[~reduced.any(axis=0)] = CODE_ORT
+    is_d = (reduced[0] == d) & ~reduced[1:].any(axis=0)
+    codes[is_d] = CODE_UB
+    return codes
 
 
 def exact_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
     """Exact class codes of digit rows over m: the one exact classifier.
 
-    A row a is the point (a_1/m, ..., a_n/m).  Its multiplicity counts c give
-    |1 + sum zeta^(a_j)|^2 = sum_s (sum_t c_t c_(t+s)) zeta^s, which is
-    reduced to the power basis of Z[zeta_m] and compared with 0 and d.
-    All-zero rows are ZERO.
+    A row a (entries in [0, m)) is the point (a_1/m, ..., a_n/m).  A float
+    filter first evaluates v = |1 + sum zeta^(a_j)|^2 from a table of roots:
+    a row with v farther than _FILTER_DELTA from both 0 and d is FORBIDDEN,
+    since v is within ``_filter_error_bound(d)`` of the exact value.  The
+    filter runs only where 10^6 times that bound is at most _FILTER_DELTA
+    (d <= 13); otherwise every row is decided exactly.  The remaining rows
+    are decided in Z[zeta_m] by ``_confirm_codes``, in blocks of about
+    _CHUNK count cells.  All-zero rows are ZERO.
     """
-    length = digits.shape[0]
-    counts = np.zeros((length, m), dtype=np.int64)
-    row_ids = np.arange(length)
-    for j in range(digits.shape[1]):
-        counts[row_ids, digits[:, j]] += 1
-    counts[:, 0] += 1  # the leading 1 of the column
-    corr = np.empty((length, m), dtype=np.int64)
-    for s in range(m):
-        corr[:, s] = np.einsum("ij,ij->i", counts, np.roll(counts, -s, axis=1))
-    reduced = corr @ _reduction_matrix(m)
-    codes = np.full(length, CODE_FORBIDDEN, dtype=np.uint8)
-    codes[np.all(reduced == 0, axis=1)] = CODE_ORT
-    is_d = (reduced[:, 0] == d) & np.all(reduced[:, 1:] == 0, axis=1)
-    codes[is_d] = CODE_UB
+    codes = np.full(len(digits), CODE_FORBIDDEN, dtype=np.uint8)
+    if 1e6 * _filter_error_bound(d) <= _FILTER_DELTA:
+        t = np.arange(m)
+        roots = np.exp(2j * np.pi * ((t - m * (2 * t >= m)) / m))  # |angle| <= pi
+        total = np.ones(len(digits), dtype=complex)
+        for column in digits.T:
+            total += roots[column]
+        v = total.real ** 2 + total.imag ** 2
+        near = np.flatnonzero((v <= _FILTER_DELTA) | (np.abs(v - d) <= _FILTER_DELTA))
+    else:
+        near = np.arange(len(digits))
+    step = max(1, _CHUNK // m)      # about _CHUNK count cells per block
+    for lo in range(0, near.size, step):
+        rows = near[lo : lo + step]
+        codes[rows] = _confirm_codes(digits[rows], d, m)
     codes[~digits.any(axis=1)] = CODE_ZERO
     return codes
 
@@ -300,13 +378,14 @@ def exact_grid_codes(
     CODE_ZERO/CODE_ORT/CODE_UB/CODE_FORBIDDEN.
     """
     total = _check_budget(d, m, budget)
-    # the exact arithmetic holds (multisets x m) count and correlation matrices
+    # multisets x m bounds the rank tables (the last one ranks m x C(m+d-3,
+    # d-2) grown rows) and the phi(m) x m reduction matrix (m^2 cells at d = 2)
     multisets = math.comb(m + d - 2, d - 1)
     if multisets * m > budget:
         raise BudgetExceededError(
             f"grid of {total} points has {multisets} coordinate multisets; "
-            f"their {multisets} x {m} count matrices ({multisets * m} cells) "
-            f"exceed enumeration budget {budget}"
+            f"their rank tables and reduction matrix are bounded by {multisets} "
+            f"x {m} = {multisets * m} cells, over enumeration budget {budget}"
         )
     tables, rows = multiset_rank_tables(d - 1, m)
     # the root sum 1 + sum zeta^(a_j) only depends on the coordinate multiset

@@ -473,8 +473,9 @@ def test_warm_started_lp_matches_scipy_oracle_sweep(d, m, use_shift):
 @st.composite
 def oracle_cases(draw):
     d = draw(st.integers(2, 7))
-    # m <= 64 also for d = 2: the exact classifier costs O(m^3) there
-    m = draw(st.integers(2, max(m for m in range(2, 65) if m ** (d - 1) <= 4096)))
+    # m <= 1024 at d = 2: every drawn m keeps its phi(m) x m reduction matrix
+    # cached (112 MB at m = 3739); test_torus covers (2, 4096)
+    m = draw(st.integers(2, max(m for m in range(2, 1025) if m ** (d - 1) <= 4096)))
     mode = draw(st.sampled_from(["symmetric", "shift", "raw"]))
     return d, m, mode, draw(st.sampled_from([1, 2, 64]))
 
@@ -504,6 +505,14 @@ def test_lp_d6m4_support_is_ort_only():
     sol = solve_lp(build_pseudo_mub_lp(6, 4, table))
     assert sol.status == "optimal"
     assert sol.M <= 36 + 1e-6
+
+
+def test_build_orbits_on_a_thin_grid():
+    # (2, 4096): the ORT point 2048 and the UB pair 1024, 3072 under negation
+    table = build_orbits(2, 4096)
+    assert [(o.representative, o.point_class) for o in table.orbits] == [
+        ((1024,), PointClass.UB), ((2048,), PointClass.ORT)]
+    assert table.total_points() == 3
 
 
 def test_symmetrization_soundness():

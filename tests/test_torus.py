@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from classify_reference import classify_reference
 
+from mublp import torus
 from mublp.config import BudgetExceededError
+from mublp.constructions import prime_power_mubs
+from mublp.hadamard import family_to_points
 from mublp.torus import (
     CODE_FORBIDDEN,
     CODE_ORT,
@@ -16,10 +19,12 @@ from mublp.torus import (
     classify,
     column_to_point,
     difference,
+    exact_codes,
     exact_grid_codes,
     float_grid_codes,
     grid_to_csv,
     is_ort_ub,
+    multiset_rank_tables,
     ort_ub_rows,
 )
 
@@ -146,12 +151,13 @@ def test_enumeration_budget_guard():
 
 
 def test_multiset_count_matrices_count_against_the_budget():
-    # 300,000 points fit the default budget, but the exact arithmetic would
-    # hold 300,000 x 300,000 count cells (and ~8M x 4,000 at d = 3)
+    # 300,000 points fit the default budget, but the reduction matrix alone
+    # is bounded by 300,000 x 300,000 cells (and the rank tables by ~8M x
+    # 4,000 at d = 3)
     for d, m, cells in [(2, 300_000, 300_000 * 300_000), (3, 4_000, 4_001 * 2_000 * 4_000)]:
         with pytest.raises(BudgetExceededError, match=f"{m ** (d - 1)} points.*{cells} cells"):
             exact_grid_codes(d, m)
-    # (2, 5) has 5 points and 5 x 5 count cells: 25 fits, 24 does not
+    # (2, 5) has 5 multisets, so 5 x 5 cells: 25 fits, 24 does not
     assert exact_grid_codes(2, 5, budget=25).tolist() == [0, 3, 3, 3, 3]
     with pytest.raises(BudgetExceededError, match="cells"):
         exact_grid_codes(2, 5, budget=24)
@@ -219,6 +225,75 @@ def test_exact_codes_match_scalar_classify(d, m):
     for lin in picks.tolist():
         point = TorusPoint.exact(m, np.unravel_index(lin, (m,) * (d - 1)))
         assert codes[lin] == _CODE_OF_CLASS[classify_reference(point, d)], (d, m, point)
+
+
+@pytest.mark.parametrize("m", [1024, 4096])
+def test_thin_grid_has_one_ort_and_two_ub_points(m):
+    # 1 + zeta^a is 0 only at a = m/2 and has |.|^2 = 2 only at a = m/4, 3m/4
+    codes = exact_grid_codes(2, m)
+    assert np.flatnonzero(codes == CODE_ORT).tolist() == [m // 2]
+    assert np.flatnonzero(codes == CODE_UB).tolist() == [m // 4, 3 * m // 4]
+    rng = np.random.default_rng(m)
+    for a in [0, m // 4, m // 2, 3 * m // 4] + rng.integers(0, m, 50).tolist():
+        point = TorusPoint.exact(m, (a,))
+        assert codes[a] == _CODE_OF_CLASS[classify_reference(point, 2)], a
+
+
+def _survivor_counts(monkeypatch):
+    """Row counts of every call to the exact step, recorded as it runs."""
+    counts = []
+    confirm = torus._confirm_codes
+
+    def counting(digits, d, m):
+        counts.append(len(digits))
+        return confirm(digits, d, m)
+
+    monkeypatch.setattr(torus, "_confirm_codes", counting)
+    return counts
+
+
+_FILTER_GRIDS = [(6, 24, 325), (8, 12, 293), (6, 16, 110), (5, 24, 163)]
+
+
+@pytest.mark.parametrize("d,m,ort_ub", _FILTER_GRIDS)
+def test_float_filter_passes_exactly_the_ort_ub_multisets(monkeypatch, d, m, ort_ub):
+    # no FORBIDDEN multiset comes within the filter's delta of 0 or d, so
+    # the exact step sees the ORT/UB multisets and nothing else
+    counts = _survivor_counts(monkeypatch)
+    codes = exact_codes(multiset_rank_tables(d - 1, m)[1], d, m)
+    assert counts == [ort_ub]
+    assert np.count_nonzero(is_ort_ub(codes)) == ort_ub
+
+
+@pytest.mark.parametrize("d,m", [grid[:2] for grid in _FILTER_GRIDS])
+def test_codes_unchanged_when_every_multiset_is_decided_exactly(monkeypatch, d, m):
+    rows = multiset_rank_tables(d - 1, m)[1]
+    filtered = exact_codes(rows, d, m)
+    counts = _survivor_counts(monkeypatch)
+    monkeypatch.setattr(torus, "_FILTER_DELTA", float(d * d))    # |v| <= d^2
+    assert np.array_equal(exact_codes(rows, d, m), filtered)
+    assert sum(counts) == len(rows)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_family_pair_codes_unchanged_when_every_row_is_decided_exactly(monkeypatch, p, k):
+    family = prime_power_mubs(p, k)
+    d = family.d
+    seen = {}
+
+    def recording(digits, d, m):
+        codes = exact_codes(digits, d, m)
+        seen.setdefault(torus._FILTER_DELTA, []).append(codes)
+        return codes
+
+    monkeypatch.setattr("mublp.hadamard.exact_codes", recording)
+    family_to_points(family)
+    monkeypatch.setattr(torus, "_FILTER_DELTA", float(d * d))
+    family_to_points(family)
+    filtered, unfiltered = (np.concatenate(seen[delta]) for delta in sorted(seen))
+    assert np.array_equal(filtered, unfiltered)
+    assert filtered.size == d * d * (d * d - 1) // 2     # d bases, d^2 columns
+    assert is_ort_ub(filtered).all()
 
 
 def test_classify_matches_scalar_reference_on_random_points():
