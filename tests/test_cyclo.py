@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mublp import cyclo
 from mublp.cyclo import (
     CycloInt,
     IntPolynomial,
@@ -120,3 +121,10 @@ def test_exact_division_rejects_inexact():
     g = IntPolynomial.from_coeffs([1, 0, 1])  # x^2 + 1
     with pytest.raises(ValueError):
         g.divexact(f)
+
+
+def test_zeta_power_table_cache_is_bounded():
+    for m in range(2, 22):
+        z = cyclo_from_exponent(m, 1)
+        assert cyclo_equals_integer(cyclo_mul(z, cyclo_conj(z)), 1)
+    assert cyclo._zeta_power_rows.cache_info().currsize <= 8

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from classify_reference import classify_reference
 
+from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
 from mublp.lp import (
     LpProblem,
     _transform_scan,
     build_orbits,
-    build_pseudo_mub_lp,
     canonical_char,
     canonical_codes,
     char_orbit,
@@ -54,7 +54,7 @@ from mublp.witness import (
 def brute_force_grid_lp(d, m):
     """Oracle: direct LP over per-point weights via scipy on the full cube."""
     table = build_orbits(d, m, symmetric=False)
-    prob = build_pseudo_mub_lp(d, m, table)
+    prob = LpProblem(table)
     if prob.n_orbits == 0:
         return 1.0  # no allowed grid points: f = delta_0 is the only choice
     gammas = list(itertools.product(range(m), repeat=d - 1))
@@ -174,7 +174,7 @@ def _char_orbit_bfs(gamma, m, use_shift=False):
 @pytest.mark.parametrize("d,m", [(3, 5), (4, 6), (5, 7), (6, 4), (6, 8)])
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_char_orbit_matches_bfs_reference(d, m, use_shift):
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
     cube = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
     cube_codes = canonical_codes(cube, m, use_shift, dual=True)
     covered = set()
@@ -245,15 +245,10 @@ def test_build_orbits_matches_dict_reference(d, m, use_shift, symmetric):
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_orbit_table_arrays(d, m, use_shift):
     table = build_orbits(d, m, use_shift_symmetry=use_shift)
-    prob = build_pseudo_mub_lp(d, m, table)
     assert np.all(np.diff(table.member_orbit) >= 0)
     member_codes = canonical_codes(table.members, m, use_shift)
     rep_codes = canonical_codes(table.representatives, m, use_shift)
     assert np.array_equal(member_codes, rep_codes[table.member_orbit])
-    # the problem uses the table's arrays, not a restacked copy; (3, 5) has
-    # no ORT/UB point, and an empty array shares no memory
-    assert np.shares_memory(prob.member_matrix, table.members) or not table.total_points()
-    assert prob.member_orbit is table.member_orbit
     orbits = table.orbits
     assert table.sizes.tolist() == [float(len(o.members)) for o in orbits]
     assert table.total_points() == sum(len(o.members) for o in orbits)
@@ -279,7 +274,7 @@ SCAN_GRIDS = [
 def test_multiset_scan_matches_cube_fft(use_shift):
     rng = np.random.default_rng(5)
     for d, m in SCAN_GRIDS:
-        prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+        prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
         weights = rng.uniform(0.0, 2.0, size=prob.n_orbits)
         cube = np.fft.fftn(prob.weight_grid(weights)).real.ravel()
         rows = multiset_rank_tables(d - 1, m)[1]
@@ -298,11 +293,11 @@ def test_symmetric_solve_never_builds_the_cube(monkeypatch, d, m, use_shift):
     def refuse(*args, **kwargs):
         raise AssertionError("cube-sized transform in a symmetric solve")
 
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
     monkeypatch.setattr(LpProblem, "weight_grid", refuse)
     monkeypatch.setattr(np.fft, "fftn", refuse)
     sol = solve_lp(prob, add_per_round=4)
-    assert sol.status == "optimal" and sol.final_scan_min >= -1e-7
+    assert sol.final_scan_min >= -1e-7
 
 
 @pytest.mark.parametrize("use_shift", [False, True])
@@ -312,10 +307,10 @@ def test_symmetric_solve_keys_characters_only_when_built(monkeypatch, use_shift)
     def refuse(*args, **kwargs):
         raise AssertionError("characters canonicalised during the solve")
 
-    prob = build_pseudo_mub_lp(6, 8, build_orbits(6, 8, use_shift_symmetry=use_shift))
+    prob = LpProblem(build_orbits(6, 8, use_shift_symmetry=use_shift))
     monkeypatch.setattr("mublp.lp.canonical_codes", refuse)
     sol = solve_lp(prob)
-    assert sol.status == "optimal" and abs(sol.M - 21.6) < 1e-9
+    assert abs(sol.M - 21.6) < 1e-9
 
 
 # sha256 of json.dumps(checkpoint["constraints"]) for --shift-symmetry solves
@@ -330,18 +325,18 @@ PINNED_CONSTRAINTS = {
 
 @pytest.mark.parametrize("d,m", sorted(PINNED_CONSTRAINTS))
 def test_generated_constraints_are_pinned(tmp_path, d, m):
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=True))
+    prob = LpProblem(build_orbits(d, m, use_shift_symmetry=True))
     sol = solve_lp(prob, checkpoint_dir=str(tmp_path))
-    assert sol.status == "optimal"
     payload = json.loads((tmp_path / "constraints.json").read_text())
     digest = hashlib.sha256(json.dumps(payload["constraints"]).encode()).hexdigest()
     assert digest == PINNED_CONSTRAINTS[(d, m)]
     assert sol.active_constraints == len(payload["constraints"])
 
 
-def test_active_constraints_counts_master_rows_on_early_exit(monkeypatch):
-    # the second master solve runs out of iterations; the solution reports
-    # the rows that master held, as it does at an optimum
+def test_iteration_limit_names_the_round_and_master_rows(monkeypatch):
+    # the second master solve runs out of iterations; the error names that
+    # round (round 1 scans before any row exists, so it is round 3) and the
+    # rows that master held
     rows = []
 
     def second_call_stops(A, b, c, basis):
@@ -352,10 +347,13 @@ def test_active_constraints_counts_master_rows_on_early_exit(monkeypatch):
         return result
 
     monkeypatch.setattr("mublp.lp.solve_equality_form", second_call_stops)
-    sol = solve_lp(build_pseudo_mub_lp(6, 8, build_orbits(6, 8)), add_per_round=4)
-    assert sol.status == "budget_exceeded"
+    with pytest.raises(BudgetExceededError) as info:
+        solve_lp(LpProblem(build_orbits(6, 8)), add_per_round=4)
     assert len(rows) == 2 and rows[1] > rows[0] > 0
-    assert sol.active_constraints == rows[1]
+    assert str(info.value) == (
+        f"restricted master ran out of simplex iterations in round 3 "
+        f"({rows[1]} rows)"
+    )
 
 
 # grids on which a complete family with phases of order dividing m exists
@@ -364,9 +362,8 @@ ATTAINMENT_GRIDS = [(4, 4), (5, 5), (7, 7), (8, 4), (9, 3), (4, 8), (8, 8)]
 
 @pytest.mark.parametrize("d,m", ATTAINMENT_GRIDS)
 def test_lp_attains_d_squared_where_a_complete_family_exists(d, m):
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    prob = LpProblem(build_orbits(d, m))
     sol = solve_lp(prob)
-    assert sol.status == "optimal"
     assert abs(sol.M - d * d) <= 1e-9, sol.M
     extract_dual_witness(sol, prob)             # raises unless it validates
 
@@ -385,9 +382,8 @@ def test_lp_optimum_grows_under_grid_refinement(d):
     # of the same mass: M(d, m) <= M(d, km)
     solved = {}
     for m in REFINEMENT_GRIDS[d]:
-        prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+        prob = LpProblem(build_orbits(d, m))
         sol = solve_lp(prob)
-        assert sol.status == "optimal"
         solved[m] = prob, sol
     pairs = [(m, fine) for m in solved for fine in solved if fine > m and fine % m == 0]
     assert pairs
@@ -411,7 +407,7 @@ def test_lp_optimum_grows_under_grid_refinement(d):
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_char_representatives_match_canonical_char_loop(d, m, use_shift):
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
     cube = itertools.product(range(m), repeat=d - 1)
     expected = {canonical_char(g, m, use_shift) for g in cube} - {(0,) * (d - 1)}
     assert prob.char_representatives() == sorted(expected)
@@ -425,8 +421,7 @@ def test_lp_d2m2_matches_one_variable_oracle():
         if 1 - w >= -1e-12:
             best = max(best, 1 + w)
     assert abs(best - 2.0) < 1e-4
-    sol = solve_lp(build_pseudo_mub_lp(2, 2, build_orbits(2, 2)))
-    assert sol.status == "optimal"
+    sol = solve_lp(LpProblem(build_orbits(2, 2)))
     assert abs(sol.M - 2.0) < 1e-9
     assert abs(sol.M - brute_force_grid_lp(2, 2)) < 1e-9
 
@@ -435,7 +430,7 @@ def test_lp_d3m3_optimum_nine():
     # all-ones weights are feasible (fhat = 9 delta_0) and the witness bound
     # caps M at d^2 = 9
     table = build_orbits(3, 3)
-    prob = build_pseudo_mub_lp(3, 3, table)
+    prob = LpProblem(table)
     ones = np.ones(prob.n_orbits)
     grid = prob.weight_grid(ones)
     fhat = np.fft.fftn(grid).real
@@ -445,15 +440,13 @@ def test_lp_d3m3_optimum_nine():
     assert cap.bound == 9
 
     sol = solve_lp(prob)
-    assert sol.status == "optimal"
     assert abs(sol.M - 9.0) < 1e-6
     assert sol.final_scan_min > -1e-7
 
 
 def test_lp_matches_scipy_oracle_on_small_grids():
     for d, m in [(2, 2), (2, 4), (3, 3), (3, 4), (4, 3)]:
-        sol = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m)))
-        assert sol.status == "optimal"
+        sol = solve_lp(LpProblem(build_orbits(d, m)))
         assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7, (d, m)
 
 
@@ -463,9 +456,8 @@ def test_lp_matches_scipy_oracle_on_small_grids():
 @pytest.mark.parametrize("use_shift", [False, True])
 def test_warm_started_lp_matches_scipy_oracle_sweep(d, m, use_shift):
     # few rows per round, so most solves start from the previous round's basis
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=use_shift))
+    prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
     sol = solve_lp(prob, add_per_round=2)
-    assert sol.status == "optimal"
     assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
     assert sol.final_scan_min >= -1e-7
 
@@ -493,8 +485,7 @@ def test_solve_lp_matches_highs_on_random_grids(case):
     d, m, mode, add_per_round = case
     table = build_orbits(d, m, use_shift_symmetry=mode == "shift",
                          symmetric=mode != "raw")
-    sol = solve_lp(build_pseudo_mub_lp(d, m, table), add_per_round=add_per_round)
-    assert sol.status == "optimal"
+    sol = solve_lp(LpProblem(table), add_per_round=add_per_round)
     assert sol.final_scan_min >= -1e-7
     assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
 
@@ -502,8 +493,7 @@ def test_solve_lp_matches_highs_on_random_grids(case):
 def test_lp_d6m4_support_is_ort_only():
     table = build_orbits(6, 4)
     assert {o.point_class for o in table.orbits} == {PointClass.ORT}
-    sol = solve_lp(build_pseudo_mub_lp(6, 4, table))
-    assert sol.status == "optimal"
+    sol = solve_lp(LpProblem(table))
     assert sol.M <= 36 + 1e-6
 
 
@@ -517,28 +507,28 @@ def test_build_orbits_on_a_thin_grid():
 
 def test_symmetrization_soundness():
     for d, m in [(3, 3), (2, 4)]:
-        sym = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m, symmetric=True)))
-        raw = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m, symmetric=False)))
+        sym = solve_lp(LpProblem(build_orbits(d, m, symmetric=True)))
+        raw = solve_lp(LpProblem(build_orbits(d, m, symmetric=False)))
         assert abs(sym.M - raw.M) < 1e-6, (d, m)
 
 
 def test_shift_symmetry_preserves_optimum():
     for d, m in [(3, 3), (3, 4), (2, 4)]:
-        plain = solve_lp(build_pseudo_mub_lp(d, m, build_orbits(d, m)))
+        plain = solve_lp(LpProblem(build_orbits(d, m)))
         shifted = solve_lp(
-            build_pseudo_mub_lp(d, m, build_orbits(d, m, use_shift_symmetry=True))
+            LpProblem(build_orbits(d, m, use_shift_symmetry=True))
         )
         assert abs(plain.M - shifted.M) < 1e-6, (d, m)
 
 
 def test_dual_witness_certificates_small():
     for d, m, expected in [(3, 3, 9.0), (2, 2, 2.0), (2, 4, 4.0)]:
-        prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+        prob = LpProblem(build_orbits(d, m))
         sol = solve_lp(prob)
         cert = extract_dual_witness(sol, prob)
         assert cert.grid == m and cert.even
         assert abs(float(cert.value_at_zero()) - expected) < 1e-6
-        rows = prob.member_matrix
+        rows = prob.table.members
         allowed = ort_ub_predicate(d)
         assert all(allowed(TorusPoint.exact(m, y)) for y in rows.tolist())
         report = delsarte_bound(cert, rows)
@@ -547,7 +537,7 @@ def test_dual_witness_certificates_small():
 
 
 def test_dual_witness_d2m2_matches_hand_dual():
-    prob = build_pseudo_mub_lp(2, 2, build_orbits(2, 2))
+    prob = LpProblem(build_orbits(2, 2))
     sol = solve_lp(prob)
     assert set(sol.dual) == {(1,)}
     assert abs(sol.dual[(1,)] - 1.0) < 1e-9
@@ -557,7 +547,7 @@ def test_dual_witness_d2m2_matches_hand_dual():
 
 
 def test_dual_witness_nonpositive_on_support():
-    prob = build_pseudo_mub_lp(3, 3, build_orbits(3, 3))
+    prob = LpProblem(build_orbits(3, 3))
     sol = solve_lp(prob)
     cert = extract_dual_witness(sol, prob)
     values = grid_values(cert)
@@ -567,11 +557,11 @@ def test_dual_witness_nonpositive_on_support():
 
 
 def test_dual_witness_with_shift_symmetry():
-    prob = build_pseudo_mub_lp(3, 3, build_orbits(3, 3, use_shift_symmetry=True))
+    prob = LpProblem(build_orbits(3, 3, use_shift_symmetry=True))
     sol = solve_lp(prob)
     assert abs(sol.M - 9.0) < 1e-6
     cert = extract_dual_witness(sol, prob)
-    rows = prob.member_matrix
+    rows = prob.table.members
     allowed = ort_ub_predicate(3)
     assert all(allowed(TorusPoint.exact(3, y)) for y in rows.tolist())
     report = delsarte_bound(cert, rows)
@@ -579,7 +569,7 @@ def test_dual_witness_with_shift_symmetry():
 
 
 def _certificate(d, m):
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    prob = LpProblem(build_orbits(d, m))
     return prob, extract_dual_witness(solve_lp(prob), prob)
 
 
@@ -601,7 +591,7 @@ def _values_at(t, rows):
 @pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
 def test_delsarte_bound_accepts_residue_samples(d, m):
     prob, cert = _certificate(d, m)
-    rows = prob.member_matrix
+    rows = prob.table.members
     # (4,6) has 49 members and (5,12) 1060; the grid defaults to the
     # witness's own, and nested lists are the same rows
     for sample_rows in (rows, rows[:64], rows[:1]):
@@ -617,7 +607,7 @@ def test_delsarte_bound_accepts_residue_samples(d, m):
 @pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
 def test_residue_samples_catch_a_positive_member(d, m):
     prob, cert = _certificate(d, m)
-    rows = prob.member_matrix
+    rows = prob.table.members
     y = rows[len(rows) // 2]
     # characters orthogonal to y add their coefficient to h(y); lift h(y) to 1
     gamma = next(g for g in itertools.product(range(m), repeat=d - 1)
@@ -643,13 +633,13 @@ def test_residue_samples_catch_a_positive_member(d, m):
 def test_residue_samples_reject_bad_shapes_and_predicates():
     prob, cert = _certificate(3, 3)
     with pytest.raises(ValueError):
-        delsarte_bound(cert, prob.member_matrix[:, :1])
+        delsarte_bound(cert, prob.table.members[:, :1])
     with pytest.raises(ValueError):
-        delsarte_bound(cert, prob.member_matrix.astype(float))
+        delsarte_bound(cert, prob.table.members.astype(float))
     with pytest.raises(ValueError):           # a predicate is no residue array
         delsarte_bound(cert, ort_ub_predicate(3))
     with pytest.raises(ValueError):           # the certificate lives on grid 3
-        delsarte_bound(cert, prob.member_matrix, grid=6)
+        delsarte_bound(cert, prob.table.members, grid=6)
 
 
 def _reference_witness(sol, prob):
@@ -666,7 +656,7 @@ def _reference_witness(sol, prob):
         for gamma in orbit:
             terms[gamma] = terms.get(gamma, 0.0) + lam / len(orbit)
     cert = TrigPolynomial.from_terms(n, terms, grid=m)
-    report = delsarte_bound(cert, prob.member_matrix)
+    report = delsarte_bound(cert, prob.table.members)
     assert report.valid and abs(float(report.bound) - sol.M) <= 1e-4
     return cert
 
@@ -676,8 +666,8 @@ def _reference_witness(sol, prob):
 def test_extract_dual_witness_matches_reference_assembly(
     d, m, use_shift, symmetric, monkeypatch
 ):
-    prob = build_pseudo_mub_lp(
-        d, m, build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
+    prob = LpProblem(
+        build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
     )
     sol = solve_lp(prob)
     checked = []
@@ -756,13 +746,13 @@ def test_complete_family_is_an_lp_primal_of_mass_d_squared(p):
     for y, count in counts.items():
         f[np.dot(y, place)] = count
     f /= f[0]
-    prob = build_pseudo_mub_lp(p, p, build_orbits(p, p))
-    members = prob.member_matrix @ place
+    prob = LpProblem(build_orbits(p, p))
+    members = prob.table.members @ place
     outside = f.copy()
     outside[0] = 0.0
     outside[members] = 0.0
     assert not outside.any()                    # no mass off the ORT/UB members
-    weights = np.bincount(prob.member_orbit, weights=f[members],
+    weights = np.bincount(prob.table.member_orbit, weights=f[members],
                           minlength=prob.n_orbits) / prob.objective
     assert np.all((weights >= 0.0) & (weights <= 2.0))
     assert abs(1.0 + prob.objective @ weights - p * p) <= 1e-9
@@ -812,7 +802,7 @@ def test_pseudo_mub_check_transform_matches_fftn_reference(name):
 def test_pseudo_mub_check_rejects_rescaled_suboptimal_lp():
     # rescale an LP solution by f(0) = d^2: mass becomes d^2 * M < d^4
     d, m = 6, 4
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    prob = LpProblem(build_orbits(d, m))
     sol = solve_lp(prob)
     assert sol.M < 36
     terms = {(0,) * (d - 1): float(d * d)}
@@ -827,7 +817,7 @@ def test_pseudo_mub_check_rejects_rescaled_suboptimal_lp():
 
 
 def test_export_parse_roundtrip():
-    prob = build_pseudo_mub_lp(3, 3, build_orbits(3, 3))
+    prob = LpProblem(build_orbits(3, 3))
     import tempfile, os
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -848,14 +838,14 @@ def test_export_parse_roundtrip():
 
 
 def test_export_d2m2_has_one_variable_one_constraint():
-    prob = build_pseudo_mub_lp(2, 2, build_orbits(2, 2))
+    prob = LpProblem(build_orbits(2, 2))
     assert prob.n_orbits == 1
     assert prob.char_representatives() == [(1,)]
 
 
 def test_external_solver_agrees_with_exported_d3m3():
     # the exported problem's optimum is M - 1 = 8 in shifted form
-    prob = build_pseudo_mub_lp(3, 3, build_orbits(3, 3))
+    prob = LpProblem(build_orbits(3, 3))
     rows = [-prob.constraint_row(g) for g in prob.char_representatives()]
     res = linprog(
         -prob.objective, A_ub=np.array(rows), b_ub=np.ones(len(rows)),
@@ -867,25 +857,24 @@ def test_external_solver_agrees_with_exported_d3m3():
 
 def test_checkpoint_resume(tmp_path):
     d, m = 6, 4
-    prob = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    prob = LpProblem(build_orbits(d, m))
     ck = str(tmp_path / "ck")
     first = solve_lp(prob, checkpoint_dir=ck)
-    prob2 = build_pseudo_mub_lp(d, m, build_orbits(d, m))
+    prob2 = LpProblem(build_orbits(d, m))
     resumed = solve_lp(prob2, checkpoint_dir=ck)
-    assert resumed.status == "optimal"
     assert abs(resumed.M - first.M) < 1e-9
     assert resumed.rounds <= first.rounds
 
 
 def test_checkpoint_rejects_other_problem(tmp_path):
     ck = str(tmp_path / "ck")
-    solve_lp(build_pseudo_mub_lp(2, 2, build_orbits(2, 2)), checkpoint_dir=ck)
+    solve_lp(LpProblem(build_orbits(2, 2)), checkpoint_dir=ck)
     with pytest.raises(ValueError):
-        solve_lp(build_pseudo_mub_lp(2, 4, build_orbits(2, 4)), checkpoint_dir=ck)
+        solve_lp(LpProblem(build_orbits(2, 4)), checkpoint_dir=ck)
 
 
 def test_solution_json_schema():
-    prob = build_pseudo_mub_lp(2, 2, build_orbits(2, 2))
+    prob = LpProblem(build_orbits(2, 2))
     sol = solve_lp(prob)
     obj = solution_to_json_obj(prob, sol)
     assert obj["d"] == 2 and obj["m"] == 2 and obj["status"] == "optimal"

@@ -122,6 +122,29 @@ def test_ort_ub_rows_examples():
     assert rows.shape == (0, 3) and codes.size == 0
 
 
+def test_digit_codes_round_trip():
+    rng = np.random.default_rng(7)
+    for n, m in [(0, 5), (1, 1), (3, 1), (1, 7), (5, 7), (3, 24)]:
+        rows = rng.integers(0, m, size=(50, n))
+        codes = torus._encode_digits(rows, m)
+        assert codes.shape == (50,) and codes.dtype == np.int64
+        assert np.array_equal(torus._decode_digits(codes, m, n), rows)
+        # codes order like the rows: a grid point's code is its linear index
+        cube = torus._decode_digits(np.arange(m ** n), m, n)
+        assert np.array_equal(torus._encode_digits(cube, m), np.arange(m ** n))
+
+
+def test_reduction_matrix_cache_is_bounded():
+    # d = 2 and 4 | m: the points m/4 and 3m/4 are UB, so every grid is
+    # confirmed in Z[zeta_m] through its reduction matrix
+    first = exact_grid_codes(2, 4)
+    for m in range(4, 84, 4):
+        assert np.count_nonzero(exact_grid_codes(2, m) == CODE_UB) == 2
+    assert torus._reduction_matrix.cache_info().currsize <= 8
+    # an evicted order is rebuilt to the same codes
+    assert np.array_equal(exact_grid_codes(2, 4), first)
+
+
 def test_ort_ub_rows_d3m3_against_direct_arithmetic():
     # independent oracle: direct complex arithmetic over all 9 points
     ort, ub = set(), set()
