@@ -241,8 +241,10 @@ def cmd_pseudo_check(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
+    if not args.out:
+        raise InputError("export-lp writes a file: give --out")
     problem = _build_problem(args)
-    rows = lpmod.export_lp(problem, args.out)
+    rows = lpmod.export_lp(problem, args.out, budget=args.enum_budget)
     sys.stdout.write(
         render_json({"d": args.d, "m": args.m, "file": args.out,
                      "orbits": problem.n_orbits, "constraints": rows})
@@ -285,10 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # each subcommand registers only the flags it reads
-    def common(p, d_required=True, eps=False, grid=False):
+    def common(p, d_required=True, eps=False, grid=False,
+               out_help="output file (default: stdout)"):
         if d_required:
-            p.add_argument("--d", type=int, required=True, help="dimension d >= 2")
-        p.add_argument("--out", help="output file (default: stdout)")
+            p.add_argument("--d", type=_positive(int), required=True,
+                           help="dimension d >= 2")
+        p.add_argument("--out", help=out_help)
         if eps:
             p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
                            help="floating tolerance (default %(default)g)")
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="classify all m-th root grid points")
     common(p, grid=True)
-    p.add_argument("--m", type=int, required=True, help="grid order")
+    p.add_argument("--m", type=_positive(int), required=True, help="grid order")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_grid)
 
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="solve the pseudo-MUB LP on the m-grid")
     common(p, grid=True)
-    p.add_argument("--m", type=int, required=True, help="grid order")
+    p.add_argument("--m", type=_positive(int), required=True, help="grid order")
     p.add_argument("--eps-feas", type=float, default=DEFAULT_EPS_FEAS,
                    help="constraint feasibility tolerance, at least 1e-8 "
                    "(default %(default)g)")
@@ -366,35 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pseudo_check)
 
     p = sub.add_parser("export-lp", help="write the LP in interchange text form")
-    common(p, grid=True)
-    p.add_argument("--m", type=int, required=True, help="grid order")
+    common(p, grid=True, out_help="LP file to write (required)")
+    p.add_argument("--m", type=_positive(int), required=True, help="grid order")
     symmetry(p)
     p.set_defaults(func=cmd_export_lp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "d", None) is not None and args.d < 1:
-        parser.error("--d must be positive")
-    if getattr(args, "m", None) is not None and args.m < 1:
-        parser.error("--m must be positive")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # a check that ran and failed
-    except (had.FamilyPointError, lpmod.CertificateError) as exc:
+    # a check that ran and failed; FamilyPointError is a ValueError, so first
+    except (had.FamilyPointError, lpmod.CertificateError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     # an internal consistency check failed: the run's result cannot be trusted
     except AssertionError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -45,14 +45,7 @@ class ConstructionError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def fourier_matrix(n: int) -> np.ndarray:

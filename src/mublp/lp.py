@@ -73,7 +73,7 @@ from .config import (
     DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
 )
-from .serialize import load_json, write_json
+from .serialize import format_float, load_json, write_json
 from .simplex import ITERATION_LIMIT, OPTIMAL, solve_equality_form
 from .torus import (
     _CLASS_BY_CODE,
@@ -141,22 +141,12 @@ def canonical_codes(
     return np.min(codes, axis=0)
 
 
-def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
-    neg = tuple((-g) % m for g in gamma)
-    yield tuple(sorted(gamma))
-    yield tuple(sorted(neg))
-    if use_shift:
-        # dual of re-basing at coordinate t: drop one entry of the zero-sum
-        # extension (-sum(gamma), gamma_1, ..., gamma_(d-1))
-        full = ((-sum(gamma)) % m,) + gamma
-        for t in range(1, len(full)):
-            img = tuple(full[j] for j in range(len(full)) if j != t)
-            yield tuple(sorted(img))
-            yield tuple(sorted((-g) % m for g in img))
-
-
 def canonical_char(gamma: tuple[int, ...], m: int, use_shift: bool = False):
-    return min(_char_images(gamma, m, use_shift))
+    """The least sorted image of the character gamma, reduced mod m, under the
+    dual group action: one row of ``canonical_codes(..., dual=True)``."""
+    row = np.array([gamma], dtype=np.int64).reshape(1, len(gamma)) % m
+    code = canonical_codes(row, m, use_shift, dual=True)
+    return tuple(_decode_digits(code, m, len(gamma))[0].tolist())
 
 
 def _multiset_permutations(rows: np.ndarray) -> np.ndarray:
@@ -358,12 +348,6 @@ class LpProblem:
             minlength=self.n_orbits,
         )
 
-    def char_keys(self, positions: np.ndarray) -> np.ndarray:
-        """The class key of the character at each scan position: the linear
-        cube index of its ``canonical_char`` with symmetry, the position (its
-        own cube index) without."""
-        return self._char_keys[positions]
-
     def char_representatives(self) -> list:
         """Deduplicated characters of the cube, ascending, without gamma = 0.
 
@@ -552,7 +536,7 @@ def solve_lp(
         # scan positions ascend with the characters' cube indices, so a stable
         # sort by value breaks ties lexicographically
         order = violated[np.argsort(scan[violated], kind="stable")]
-        keys = problem.char_keys(order)
+        keys = problem._char_keys[order]
         added = 0
         for pos in np.sort(np.unique(keys, return_index=True)[1]).tolist():
             code = int(keys[pos])
@@ -796,9 +780,19 @@ def _load_checkpoint(directory: str, problem: LpProblem):
 # optimum of the file equals M - 1 (stated in the header comment).
 
 
-def export_lp(problem: LpProblem, path: str) -> int:
-    """Write the full LP to ``path``; returns the number of constraint rows."""
+def export_lp(problem: LpProblem, path: str, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    """Write the full LP to ``path``; returns the number of constraint rows.
+
+    The file holds up to rows x orbits coefficients; past ``budget`` of them
+    it raises ``BudgetExceededError`` before ``path`` is opened.
+    """
     reps = problem.char_representatives()
+    cells = len(reps) * problem.n_orbits
+    if cells > budget:
+        raise BudgetExceededError(
+            f"LP of {len(reps)} rows x {problem.n_orbits} orbits = {cells} "
+            f"coefficients exceeds enumeration budget {budget}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"\\ pseudo-MUB linear program d={problem.d} m={problem.m}\n")
         fh.write("\\ variables: one weight per ORT/UB orbit; f(0) fixed to 1\n")
@@ -814,15 +808,9 @@ def export_lp(problem: LpProblem, path: str) -> int:
             fh.write(" >= -1\n")
         fh.write("Bounds\n")
         for i in range(problem.n_orbits):
-            fh.write(f" 0 <= f_{i} <= {_num(_WEIGHT_BOX)}\n")
+            fh.write(f" 0 <= f_{i} <= {format_float(_WEIGHT_BOX)}\n")
         fh.write("End\n")
     return len(reps)
-
-
-def _num(x: float) -> str:
-    from .serialize import format_float
-
-    return format_float(float(x))
 
 
 def _terms_text(row) -> str:
@@ -831,7 +819,7 @@ def _terms_text(row) -> str:
         if v == 0.0:
             continue
         sign = " + " if v >= 0 else " - "
-        parts.append(f"{sign}{_num(abs(float(v)))} f_{i}")
+        parts.append(f"{sign}{format_float(abs(float(v)))} f_{i}")
     return "".join(parts) if parts else " 0 f_0"
 
 

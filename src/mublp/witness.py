@@ -25,8 +25,8 @@ TrigPolynomial also hosts grid-mode polynomials: finitely supported
 functions on Z_m^(d-1), used both for LP dual certificates (coefficients on
 characters) and pseudo-MUB candidate functions (weights on points).
 
-Values on a grid come from one FFT evaluator, ``_transform`` (``grid_values``,
-``delsarte_bound``, ``lp.pseudo_mub_check``); ``eval_trig`` is the scalar
+Values on a grid come from one FFT evaluator, ``_transform`` (serving
+``delsarte_bound`` and ``lp.pseudo_mub_check``); ``eval_trig`` is the scalar
 reference, and ``check_point_set`` evaluates at family points off any grid.
 ``delsarte_bound`` takes its samples as integer residue rows on one grid,
 such as the ORT/UB rows of ``torus.ort_ub_rows``.
@@ -209,18 +209,6 @@ def _transform(t: TrigPolynomial, grid: int) -> np.ndarray:
     a = np.zeros((grid,) * t.dim, dtype=complex)
     np.add.at(a, tuple((gammas % grid).T), [float(c) for c in t.terms.values()])
     return np.fft.ifftn(a, norm="forward")
-
-
-def grid_values(t: TrigPolynomial) -> np.ndarray:
-    """Values of a grid-mode polynomial at every grid point, via the FFT.
-
-    Returns the full (m,)*dim array, real when t is even; entry y is
-    sum_gamma c_gamma e^(2 pi i <gamma, y> / m).
-    """
-    if t.grid is None:
-        raise ValueError("grid mode only")
-    values = _transform(t, t.grid)
-    return values.real if t.even else values
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,28 @@ def test_export_lp(run_cli, tmp_path):
     assert "Maximize" in text and text.count(">=") == 1  # one nontrivial row
 
 
+def test_export_lp_without_out_is_a_usage_error(capsys):
+    assert cli.main(["export-lp", "--d", "3", "--m", "3"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: export-lp writes a file: give --out\n"
+
+
+@pytest.mark.parametrize("budget,code", [(279, cli.EXIT_CHECK_FAILED), (280, cli.EXIT_OK)])
+def test_export_lp_counts_its_coefficients_against_the_budget(capsys, tmp_path, budget, code):
+    # raw (3,6): 36 grid points, 35 character rows x 8 singleton orbits = 280
+    path = tmp_path / "p.lp"
+    argv = ["export-lp", "--d", "3", "--m", "6", "--no-orbit-symmetry",
+            "--enum-budget", str(budget), "--out", str(path)]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert json.loads(out)["constraints"] == 35 and path.exists()
+    else:
+        assert out == "" and not path.exists()
+        assert err == ("error: LP of 35 rows x 8 orbits = 280 coefficients "
+                       "exceeds enumeration budget 279\n")
+
+
 def test_usage_errors(run_cli):
     code, _, err = run_cli("grid", "--d", 3)        # missing --m
     assert code == 2, err
@@ -320,7 +342,8 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
 
 
 # (case number, argv, exit code): a tolerance that is not finite and > 0,
-# and a budget or sample grid below 1, stop at the parser
+# and a budget, sample grid, dimension or grid order below 1 or not an
+# integer, stop at the parser
 _RANGE_CASES = [
     (0, ["construct", "--d", "5", "--kind", "prime", "--eps", "-1"], cli.EXIT_USAGE),
     (1, ["construct", "--d", "5", "--kind", "prime", "--eps", "nan"], cli.EXIT_USAGE),
@@ -339,6 +362,12 @@ _RANGE_CASES = [
     (13, ["witness", "--d", "3", "--sample-m", "1", "--enum-budget", "1"], cli.EXIT_OK),
     (14, ["construct", "--d", "5", "--kind", "prime", "--eps", "1e-6"], cli.EXIT_OK),
     (15, ["sidon", "--d", "3", "--budget", "1"], cli.EXIT_CHECK_FAILED),
+    # --d and --m, each last so the check reads its name
+    (16, ["lp", "--m", "3", "--d", "0"], cli.EXIT_USAGE),
+    (17, ["grid", "--d", "3", "--m", "0"], cli.EXIT_USAGE),
+    (18, ["lp", "--d", "3", "--m", "-3"], cli.EXIT_USAGE),
+    (19, ["construct", "--kind", "prime", "--d", "0"], cli.EXIT_USAGE),
+    (20, ["export-lp", "--m", "3", "--d", "x"], cli.EXIT_USAGE),
 ]
 
 

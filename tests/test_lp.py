@@ -44,7 +44,6 @@ from mublp.witness import (
     TrigPolynomial,
     _transform,
     delsarte_bound,
-    grid_values,
     ort_ub_predicate,
     trig_from_json_obj,
     trig_to_json_obj,
@@ -131,6 +130,25 @@ def canonical_point(vec: tuple[int, ...], m: int, use_shift: bool = False):
     return min(_point_images(vec, m, use_shift))
 
 
+def _char_images(gamma: tuple[int, ...], m: int, use_shift: bool):
+    """Sorted representatives of all symmetry images of a character in the cube."""
+    neg = tuple((-g) % m for g in gamma)
+    yield tuple(sorted(gamma))
+    yield tuple(sorted(neg))
+    if use_shift:
+        # dual of re-basing at coordinate t: drop one entry of the zero-sum
+        # extension (-sum(gamma), gamma_1, ..., gamma_(d-1))
+        full = ((-sum(gamma)) % m,) + gamma
+        for t in range(1, len(full)):
+            img = tuple(full[j] for j in range(len(full)) if j != t)
+            yield tuple(sorted(img))
+            yield tuple(sorted((-g) % m for g in img))
+
+
+def canonical_char_reference(gamma: tuple[int, ...], m: int, use_shift: bool = False):
+    return min(_char_images(gamma, m, use_shift))
+
+
 def test_canonical_point_and_char_are_group_invariant():
     rng = np.random.default_rng(12)
     for use_shift in (False, True):
@@ -143,7 +161,7 @@ def test_canonical_point_and_char_are_group_invariant():
             assert canonical_point(neg, m, use_shift) == canon
             assert canonical_point(perm, m, use_shift) == canon
             g = tuple(int(v) for v in rng.integers(0, m, d - 1))
-            cg = canonical_char(g, m, use_shift)
+            cg = canonical_char_reference(g, m, use_shift)
             for img in char_orbit(g, m, use_shift):
                 assert canonical_char(img, m, use_shift) == cg
 
@@ -199,7 +217,15 @@ def test_canonical_char_codes_match_canonical_char(d, m, use_shift):
     digits = _decode_digits(np.arange(m ** (d - 1)), m, d - 1)
     codes = canonical_codes(digits, m, use_shift, dual=True)
     decoded = list(map(tuple, _decode_digits(codes, m, d - 1).tolist()))
-    assert decoded == [canonical_char(g, m, use_shift) for g in map(tuple, digits.tolist())]
+    assert decoded == [canonical_char_reference(g, m, use_shift)
+                       for g in map(tuple, digits.tolist())]
+
+
+@pytest.mark.parametrize("use_shift", [False, True])
+def test_canonical_char_reduces_mod_m(use_shift):
+    assert canonical_char((-1, 5), 4, use_shift) == canonical_char((3, 1), 4, use_shift)
+    assert canonical_char((7, -2, 12), 5, use_shift) == canonical_char_reference(
+        (2, 3, 2), 5, use_shift)
 
 
 @pytest.mark.parametrize("d,m", [(3, 3), (4, 6), (5, 7), (6, 4), (6, 8)])
@@ -409,7 +435,7 @@ def test_lp_optimum_grows_under_grid_refinement(d):
 def test_char_representatives_match_canonical_char_loop(d, m, use_shift):
     prob = LpProblem(build_orbits(d, m, use_shift_symmetry=use_shift))
     cube = itertools.product(range(m), repeat=d - 1)
-    expected = {canonical_char(g, m, use_shift) for g in cube} - {(0,) * (d - 1)}
+    expected = {canonical_char_reference(g, m, use_shift) for g in cube} - {(0,) * (d - 1)}
     assert prob.char_representatives() == sorted(expected)
 
 
@@ -550,7 +576,7 @@ def test_dual_witness_nonpositive_on_support():
     prob = LpProblem(build_orbits(3, 3))
     sol = solve_lp(prob)
     cert = extract_dual_witness(sol, prob)
-    values = grid_values(cert)
+    values = _transform(cert, cert.grid).real
     for orbit in prob.table.orbits:
         for y in map(tuple, orbit.members.tolist()):
             assert values[y] <= 1e-9
