@@ -5,7 +5,8 @@ default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
 failed, 2 usage or input error.  Every budget and tolerance is a flag whose
 default is its ``config.DEFAULT_*`` constant; nothing reads the environment.
-A tolerance or budget that is not finite and > 0 is a usage error.
+A tolerance, budget, round count or worker count that is not finite and
+> 0, or an ``lp --eps-feas`` below ``lp.ROW_TOL``, is a usage error.
 """
 
 from __future__ import annotations
@@ -256,17 +257,19 @@ def cmd_export_lp(args) -> int:
 # parser
 
 
-def _positive(convert):
-    """argparse type of a setting: ``convert(text)``, finite and > 0."""
+def _positive(convert, least=0):
+    """argparse type of a setting: ``convert(text)``, finite, > 0 and
+    >= ``least`` (``--eps-feas`` takes ``lp.ROW_TOL``)."""
+    bound = f">= {least:g}" if least else "> 0"
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not 0 < value < math.inf:          # nan fails too
+        if not (0 < value < math.inf and value >= least):   # nan fails too
             raise argparse.ArgumentTypeError(
-                f"must be a finite {convert.__name__} > 0, not {text!r}")
+                f"must be a finite {convert.__name__} {bound}, not {text!r}")
         return value
 
     return parse
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--enum-budget", type=_positive(int),
                            default=DEFAULT_ENUM_BUDGET,
                            help="grid enumeration budget (default %(default)d)")
-            p.add_argument("--workers", type=int, default=None,
+            p.add_argument("--workers", type=_positive(int), default=None,
                            help="worker threads for scans (default: one per core)")
 
     # the raw LP has no orbits to quotient by the shift maps
@@ -348,12 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lp", help="solve the pseudo-MUB LP on the m-grid")
     common(p, grid=True)
     p.add_argument("--m", type=_positive(int), required=True, help="grid order")
-    p.add_argument("--eps-feas", type=float, default=DEFAULT_EPS_FEAS,
+    p.add_argument("--eps-feas", type=_positive(float, lpmod.ROW_TOL),
+                   default=DEFAULT_EPS_FEAS,
                    help="constraint feasibility tolerance, at least 1e-8 "
                    "(default %(default)g)")
-    p.add_argument("--max-rounds", type=int, default=DEFAULT_LP_MAX_ROUNDS,
+    p.add_argument("--max-rounds", type=_positive(int),
+                   default=DEFAULT_LP_MAX_ROUNDS,
                    help="constraint-generation rounds (default %(default)d)")
-    p.add_argument("--add-per-round", type=int, default=DEFAULT_LP_ADD_PER_ROUND,
+    p.add_argument("--add-per-round", type=_positive(int),
+                   default=DEFAULT_LP_ADD_PER_ROUND,
                    help="characters added per round (default %(default)d)")
     symmetry(p)
     p.add_argument("--checkpoint-dir", default=None,

@@ -192,7 +192,6 @@ def column_to_point(
     if abs(col[0] - 1.0) > eps:
         raise ValueError("column is not dephased (first coordinate must be 1)")
     rho = np.angle(col[1:]) / (2.0 * np.pi)
-    rho = np.where(rho >= 0.5, rho - 1.0, rho)
     if snap_denominator is not None:
         m = int(snap_denominator)
         scaled = rho * m

@@ -281,9 +281,6 @@ class DelsarteReport:
     max_sample_value: float
     messages: tuple
 
-    def __bool__(self) -> bool:
-        return self.valid
-
 
 def delsarte_bound(
     t: TrigPolynomial,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -154,6 +155,20 @@ def test_export_lp(run_cli, tmp_path):
     assert "Maximize" in text and text.count(">=") == 1  # one nontrivial row
 
 
+def test_export_lp_of_an_orbit_free_grid_names_no_variable(tmp_path, capsys):
+    # (3,4) has no ORT/UB point: the objective and every row are the constant 0
+    path = tmp_path / "p.lp"
+    assert cli.main(["export-lp", "--d", "3", "--m", "4", "--out", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["orbits"] == 0 and report["constraints"] == 6
+    assert "f_" not in path.read_text()
+    parsed = lpmod.parse_lp(str(path))
+    assert parsed["objective"] == {} and parsed["bounds"] == {}
+    assert len(parsed["constraints"]) == 6
+    assert all(c == {"coefficients": {}, "rhs": -1.0}
+               for c in parsed["constraints"].values())
+
+
 def test_export_lp_without_out_is_a_usage_error(capsys):
     assert cli.main(["export-lp", "--d", "3", "--m", "3"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
@@ -240,6 +255,20 @@ def test_certificate_error_exits_check_failed(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "dw.json").exists()
 
 
+def test_failed_certificate_exits_check_failed(tmp_path, capsys, monkeypatch):
+    # a real refusal: character orbits without the negation give an odd witness
+    monkeypatch.setattr(lpmod, "char_orbit",
+                        lambda gamma, m, use_shift=False: set(itertools.permutations(gamma)))
+    code = cli.main(["lp", "--d", "3", "--m", "3",
+                     "--dual-witness", str(tmp_path / "dw.json")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == ("error: certificate failed witness validation: "
+                   "polynomial is not even\n")
+    assert not (tmp_path / "dw.json").exists()
+
+
 def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch):
     codes = torusmod.exact_grid_codes(3, 3)
     codes[2 * 3 + 1] = CODE_UB            # (2, 1) is ORT, like (1, 2) in its orbit
@@ -308,7 +337,8 @@ def test_witness_sample_cube_honours_enum_budget(capsys, monkeypatch):
 
 
 # (case number, argv, exit code); fixed ids, so deleting a case renumbers
-# no other
+# no other.  --eps-feas below lp.ROW_TOL and a round count below 1 stop at
+# the parser, like the settings of _RANGE_CASES
 _LP_OPTION_CASES = [
     (0, ["--eps-feas", "0"], cli.EXIT_USAGE),
     (1, ["--eps-feas", "-1"], cli.EXIT_USAGE),
@@ -328,12 +358,14 @@ _LP_OPTION_CASES = [
     for i, argv, code in _LP_OPTION_CASES
 ])
 def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
+    if code == cli.EXIT_USAGE:
+        # the parser refuses the value before any orbit table is built
+        _assert_parser_refuses(capsys, ["lp", "--d", "4", "--m", "6", *argv])
+        return
     assert cli.main(["lp", "--d", "4", "--m", "6", *argv]) == code
     out, err = capsys.readouterr()
     assert "internal" not in err
-    if code == cli.EXIT_USAGE:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    elif code == cli.EXIT_OK:
+    if code == cli.EXIT_OK:
         problem = lpmod.LpProblem(lpmod.build_orbits(4, 6))
         assert json.loads(out)["M"] == pytest.approx(
             lpmod.solve_lp(problem).M, abs=1e-9)
@@ -341,9 +373,18 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
         assert err == "error: no convergence after 1 constraint-generation rounds\n"
 
 
+def _assert_parser_refuses(capsys, argv):
+    """argparse exits 2 naming the last flag of ``argv`` and its range."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE, err
+    assert out == "" and f"argument {argv[-2]}: must be " in err
+
+
 # (case number, argv, exit code): a tolerance that is not finite and > 0,
-# and a budget, sample grid, dimension or grid order below 1 or not an
-# integer, stop at the parser
+# and a budget, sample grid, dimension, grid order or worker count below 1
+# or not an integer, stop at the parser
 _RANGE_CASES = [
     (0, ["construct", "--d", "5", "--kind", "prime", "--eps", "-1"], cli.EXIT_USAGE),
     (1, ["construct", "--d", "5", "--kind", "prime", "--eps", "nan"], cli.EXIT_USAGE),
@@ -368,6 +409,9 @@ _RANGE_CASES = [
     (18, ["lp", "--d", "3", "--m", "-3"], cli.EXIT_USAGE),
     (19, ["construct", "--kind", "prime", "--d", "0"], cli.EXIT_USAGE),
     (20, ["export-lp", "--m", "3", "--d", "x"], cli.EXIT_USAGE),
+    # any worker count below 1 once meant one thread per core
+    (21, ["lp", "--d", "3", "--m", "3", "--workers", "0"], cli.EXIT_USAGE),
+    (22, ["lp", "--d", "3", "--m", "3", "--workers", "-5"], cli.EXIT_USAGE),
 ]
 
 
@@ -375,16 +419,13 @@ _RANGE_CASES = [
     pytest.param(argv, code, id=f"case{i}-{code}") for i, argv, code in _RANGE_CASES
 ])
 def test_out_of_range_settings_are_usage_errors(capsys, argv, code):
-    try:
-        got = cli.main(argv)
-    except SystemExit as exc:                 # argparse's usage exit
-        got = exc.code
+    if code == cli.EXIT_USAGE:
+        _assert_parser_refuses(capsys, argv)
+        return
+    got = cli.main(argv)
     out, err = capsys.readouterr()
     assert got == code, err
-    if code == cli.EXIT_USAGE:
-        flag = argv[-2]
-        assert out == "" and f"argument {flag}: must be " in err
-    elif argv[0] == "witness":
+    if argv[0] == "witness":
         assert json.loads(out)["sample_count"] == 0
 
 

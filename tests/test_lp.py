@@ -15,6 +15,7 @@ from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
 from mublp.lp import (
+    CertificateError,
     LpProblem,
     _transform_scan,
     build_orbits,
@@ -82,14 +83,6 @@ def test_orbits_d2m2_single():
     table = build_orbits(2, 2)
     assert len(table.orbits) == 1
     assert table.orbits[0].members.tolist() == [[1]]
-
-
-def test_orbit_table_generators():
-    assert build_orbits(2, 2).generators == ("negation", "permutation")
-    assert build_orbits(2, 2, use_shift_symmetry=True).generators == (
-        "negation", "permutation", "shift",
-    )
-    assert build_orbits(2, 2, symmetric=False).generators == ()
 
 
 def test_orbit_sizes_partition_the_grid_classes():
@@ -713,6 +706,68 @@ def test_extract_dual_witness_matches_reference_assembly(
     assert sorted(_decode_digits(ort_ub, m, d - 1).tolist()) == sorted(samples.tolist())
 
 
+def _solved(d, m):
+    prob = LpProblem(build_orbits(d, m))
+    return prob, solve_lp(prob)
+
+
+def _refusal(prob, sol) -> str:
+    """The message of the ``CertificateError`` that refuses ``sol``."""
+    with pytest.raises(CertificateError) as info:
+        extract_dual_witness(sol, prob)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6)])
+def test_certificate_refuses_h0_away_from_m(d, m):
+    # doubled multipliers keep h even, hhat >= 0 and h <= 0 on the members,
+    # but h(0) = 2M - 1
+    prob, sol = _solved(d, m)
+    doubled = {g: 2.0 * lam for g, lam in sol.dual.items()}
+    msg = _refusal(prob, dataclasses.replace(sol, dual=doubled))
+    assert msg.startswith("certified bound ") and msg.endswith(f" differs from M={sol.M}")
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6)])
+def test_certificate_refuses_an_odd_witness(d, m, monkeypatch):
+    # orbits without the negation spread each multiplier over one sign only
+    prob, sol = _solved(d, m)
+    monkeypatch.setattr("mublp.lp.char_orbit",
+                        lambda gamma, m, use_shift=False: set(itertools.permutations(gamma)))
+    assert _refusal(prob, sol) == (
+        "certificate failed witness validation: polynomial is not even")
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6)])
+def test_certificate_refuses_a_negative_multiplier(d, m):
+    prob, sol = _solved(d, m)
+    first = min(sol.dual)
+    flipped = {g: -lam if g == first else lam for g, lam in sol.dual.items()}
+    msg = _refusal(prob, dataclasses.replace(sol, dual=flipped))
+    assert msg.startswith("certificate failed witness validation: "
+                          "negative Fourier coefficient ")
+
+
+@pytest.mark.parametrize("d,m", [(3, 3), (4, 6)])
+def test_certificate_refuses_a_positive_member(d, m):
+    # a large multiplier on a character whose orbit averages > 0 at some
+    # member lifts h there above 0; M is the new h(0), so only the sample fails
+    prob, sol = _solved(d, m)
+    members = prob.table.members
+    for gamma in prob.char_representatives():
+        orbit = np.array(sorted(char_orbit(gamma, m)))
+        mean = np.cos(2.0 * np.pi * (members @ orbit.T % m) / m).mean(axis=1)
+        if mean.max() > 0.1:
+            break
+    dual = dict(sol.dual)
+    dual[gamma] = dual.get(gamma, 0.0) + 10.0 * sol.M / mean.max()
+    lifted = dataclasses.replace(sol, dual=dual, M=1.0 + sum(dual.values()))
+    msg = _refusal(prob, lifted)
+    assert msg.startswith("certificate failed witness validation: "
+                          "witness is positive on an allowed sample: ")
+    assert ";" not in msg
+
+
 def _family_counts(points):
     counts = {}
     for p in points:
@@ -890,6 +945,22 @@ def test_checkpoint_resume(tmp_path):
     resumed = solve_lp(prob2, checkpoint_dir=ck)
     assert abs(resumed.M - first.M) < 1e-9
     assert resumed.rounds <= first.rounds
+
+
+def test_checkpoint_bytes_repeat_and_old_stamps_resume(tmp_path):
+    prob = LpProblem(build_orbits(4, 6))
+    paths = [tmp_path / name / "constraints.json" for name in ("a", "b")]
+    for path in paths:
+        sol = solve_lp(prob, checkpoint_dir=str(path.parent))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    payload = json.loads(paths[0].read_text())
+    assert list(payload) == ["d", "m", "symmetric", "shift", "round", "constraints"]
+    # a file from before the payload lost its time stamp still resumes
+    payload["written"] = "2024-01-01T00:00:00"
+    paths[0].write_text(json.dumps(payload))
+    resumed = solve_lp(LpProblem(build_orbits(4, 6)), checkpoint_dir=str(paths[0].parent))
+    assert abs(resumed.M - sol.M) < 1e-9
+    assert resumed.rounds == 1
 
 
 def test_checkpoint_rejects_other_problem(tmp_path):
