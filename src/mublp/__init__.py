@@ -9,7 +9,6 @@ systems, and the pseudo-MUB linear program with dual certificates.
 from .config import BudgetExceededError
 from .constructions import (
     ConstructionError,
-    GaloisField,
     SidonSet,
     fourier_matrix,
     prime_mubs,
@@ -66,7 +65,6 @@ __all__ = [
     "BoundReport",
     "ConstructionError",
     "CycloInt",
-    "GaloisField",
     "HadamardCheck",
     "IntPolynomial",
     "LpProblem",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from functools import lru_cache, partial
 
 from . import constructions as cons
@@ -150,17 +151,8 @@ def cmd_bound(args) -> int:
     d = family.d
     points = had.family_to_points(family, eps=args.eps)
     report = witness.check_point_set(points, witness.expand_h(d), eps=1e-6)
-    payload = {
-        "d": d,
-        "cardinality": report.cardinality,
-        "s_spectral": report.s_spectral,
-        "s_spatial": report.s_spatial,
-        "bound": str(report.bound),
-        "slack_lower": report.slack_lower,
-        "slack_upper": report.slack_upper,
-        "max_offdiagonal": report.max_offdiagonal,
-        "hypothesis_ok": report.hypothesis_ok,
-    }
+    payload = {"d": d, **asdict(report), "bound": str(report.bound),
+               "hypothesis_ok": report.hypothesis_ok}
     _emit(args, payload)
     return EXIT_OK if report.hypothesis_ok else EXIT_CHECK_FAILED
 
@@ -226,17 +218,7 @@ def cmd_pseudo_check(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read candidate file {args.candidate}: {exc}")
     report = lpmod.pseudo_mub_check(poly, args.d, eps=args.eps)
-    payload = {
-        "d": args.d,
-        "support_ok": report.support_ok,
-        "transform_ok": report.transform_ok,
-        "min_transform": report.min_transform,
-        "mass_ok": report.mass_ok,
-        "mass": report.mass,
-        "origin_ok": report.origin_ok,
-        "origin_value": report.origin_value,
-        "ok": report.ok,
-    }
+    payload = {"d": args.d, **asdict(report), "ok": report.ok}
     _emit(args, payload)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 

@@ -19,6 +19,11 @@ every phase is tr(a*x^2) + tr(b*x) mod p, or Tr(a*x) + 2 Tr(b*x) mod 4, and
 each matrix is one numpy gather from the table of tr(a*x).  A prime p is the
 case k = 1.
 
+Both tables come from the rows x^e modulo the field or ring modulus (the
+powers of its companion matrix): products of coefficient rows reduce by
+them, and the trace of an element is the trace of multiplication by it, so
+tr(x^t) is the sum over s of the x^s coefficient of x^(t+s).
+
 These formulas are treated as external input: every family is verified
 in full (Hadamard + pairwise unbiasedness) before being returned, and a
 verification failure raises instead of returning a bad family.
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BudgetExceededError, DEFAULT_SIDON_BUDGET
-from .cyclo import IntPolynomial
 from .hadamard import MubFamily, verify_family
 
 
@@ -56,62 +60,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n)
 
 
-# ---------------------------------------------------------------------------
-# GF(p^k)
-
-
-def _pad(a, k: int) -> tuple[int, ...]:
-    return tuple(a) + (0,) * (k - len(a))
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    k = len(f) - 1
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            for t in range(k + 1):
-                prod[i - k + t] = (prod[i - k + t] - c * f[t]) % p
-    return _poly_trim(prod[:k])
-
-
-def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        # a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = (a[-1] * inv_lead) % p
-            shift = len(a) - len(b)
-            for t in range(len(b)):
-                a[shift + t] = (a[shift + t] - c * b[t]) % p
-            _poly_trim(a)
-        a, b = b, a
-    return a
-
-
 def _prime_divisors(n: int) -> list[int]:
     out = []
     f = 2
@@ -126,164 +74,96 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """f monic of degree k over F_p: x^(p^k) == x mod f and the gcd tests pass."""
-    k = len(f) - 1
-    if k == 1:
-        return True
-    checkpoints = {k // q for q in _prime_divisors(k)}
-    r = [0, 1]  # x
-    for i in range(1, k + 1):
-        r = _poly_powmod(r, p, f, p)
-        if i in checkpoints:
-            diff = list(r)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(diff, f, p)
-            if len(_poly_trim(list(g))) > 1:
-                return False
-    return _poly_trim(list(r)) == [0, 1]
-
-
-class GaloisField:
-    """GF(p^k) with elements as little-endian coefficient tuples mod p.
-
-    The modulus is the least monic irreducible polynomial of degree k in
-    lexicographic coefficient order (constant term first), so fields are
-    reproducible across runs.  Element i has digits (i % p, (i//p) % p, ...).
-    """
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.k = k
-        self.size = p**k
-        self.modulus = self._find_modulus()
-        self._mod_list = list(self.modulus.coeffs)
-        self.elements = [self._digits(i) for i in range(self.size)]
-
-    def _digits(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def _find_modulus(self) -> IntPolynomial:
-        for low in itertools.product(range(self.p), repeat=self.k):
-            f = list(low) + [1]
-            if _is_irreducible(f, self.p):
-                return IntPolynomial.from_coeffs(f)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b) -> tuple[int, ...]:
-        return _pad(_poly_mulmod(list(a), list(b), self._mod_list, self.p), self.k)
-
-    def pow(self, a, e: int) -> tuple[int, ...]:
-        return _pad(_poly_powmod(list(a), e, self._mod_list, self.p), self.k)
-
-    def trace(self, a) -> int:
-        """Absolute trace to F_p: sum of the k Frobenius images."""
-        a = tuple(a)
-        acc = frob = a
-        for _ in range(self.k - 1):
-            frob = self.pow(frob, self.p)
-            acc = self.add(acc, frob)
-        if any(acc[1:]):
-            raise RuntimeError(f"trace of {a} did not land in the prime field")
-        return acc[0]
-
 
 # ---------------------------------------------------------------------------
-# GR(4, k) for characteristic 2
+# Field and Galois-ring tables from the powers of x
 
 
-class _GaloisRing4:
-    """The Teichmueller set of the Galois ring GR(4, k) = Z_4[x]/(f).
+def _power_rows(f, q: int, count: int) -> np.ndarray:
+    """The rows x^e mod (f, q), e < count, coefficients constant term first.
 
-    f is the Hensel lift (via the even/odd-part squaring identity) of the
-    least primitive polynomial of degree k over F_2, so xi = x has
-    multiplicative order 2^k - 1 and the Teichmueller set
-    T = {0, 1, xi, ..., xi^(2^k - 2)} maps bijectively onto GF(2^k) mod 2.
-    ``traces[i]`` is the ring trace of ``teichmuller[i]``: on T the Frobenius
-    is squaring, so Tr(xi^e) is the sum of xi^(e * 2^i mod (2^k - 1)), i < k.
+    f is monic of degree k, constant term first.  Each row is the previous one
+    times x with x^k replaced by -(f_0 + f_1 x + ... + f_(k-1) x^(k-1)): the
+    powers of the companion matrix of f applied to 1.
     """
+    k = len(f) - 1
+    low = np.asarray(f[:k], dtype=np.int64)
+    rows = np.zeros((count, k), dtype=np.int64)
+    row = np.eye(k, dtype=np.int64)[0]
+    for e in range(count):
+        rows[e] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % q
+    return rows
 
-    def __init__(self, k: int):
-        self.k = k
-        self.modulus = self._hensel_lift(self._find_primitive_base(k))
-        one = _pad([1], k)
-        teich = [(0,) * k, one]
-        for _ in range(2**k - 2):
-            teich.append(self._times_xi(teich[-1]))
-        if len(set(teich)) != 2**k or self._times_xi(teich[-1]) != one:
-            raise RuntimeError("Teichmueller set construction failed")
-        if len({tuple(c % 2 for c in t) for t in teich}) != 2**k:
-            raise RuntimeError("Teichmueller set is not a transversal mod 2")
-        self.teichmuller = teich
+
+def _power_traces(rows: np.ndarray, count: int) -> np.ndarray:
+    """The trace of multiplication by x^t, t < count, unreduced.
+
+    Multiplication by x^t sends x^s to x^(t+s), so its trace is the sum over
+    s < k of the x^s coefficient of x^(t+s); ``rows`` reaches x^(count+k-2).
+    """
+    s = np.arange(rows.shape[1])
+    return rows[np.arange(count)[:, None] + s, s].sum(axis=1)
+
+
+def _galois_ring(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modulus f of GR(4, k) = Z_4[x]/(f) and the rows xi^e mod (f, 4),
+    e < 2^k + k - 2, where xi = x.
+
+    The base polynomial g is the first monic degree-k polynomial over F_2,
+    low coefficients in ``itertools.product`` order, in which x has order
+    exactly 2^k - 1; such a g is primitive, hence irreducible.  With
+    g(x) = e(x^2) + x o(x^2), the Hensel lift f(y) = +-(e(y)^2 - y o(y)^2)
+    mod 4 is monic, reduces to g mod 2 and divides y^(2^k - 1) - 1, so xi has
+    order 2^k - 1 and the Teichmueller set is {0, 1, xi, ..., xi^(2^k - 2)}.
+    """
+    n = 2**k - 1
+    for low in itertools.product(range(2), repeat=k):
+        g = np.array(low + (1,))
+        rows = _power_rows(g, 2, n + 1)
+        is_one = (rows == rows[0]).all(axis=1)          # x^e == 1
+        if is_one[n] and not is_one[1:n].any():
+            break
+    e, o = np.convolve(g[0::2], g[0::2]), np.convolve(g[1::2], g[1::2])
+    f = np.zeros(k + 1, dtype=np.int64)
+    f[: len(e)] += e
+    f[1 : 1 + len(o)] -= o
+    f = (-1) ** k * f % 4
+    return f, _power_rows(f, 4, n + k - 1)
+
+
+def _index_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product table and the trace of every element of the index set of
+    the d = p^k family.
+
+    For p = 2 the index set is the Teichmueller set of GR(4, k): index 0 is
+    zero and index 1 + e is xi^e (``_galois_ring``), so nonzero products add
+    exponents mod 2^k - 1, and Tr(xi^e) is the trace of multiplication.
+
+    For odd p it is GF(p^k): element i has the base-p digits of i as its
+    coefficients, constant term first.  The modulus is the first monic
+    degree-k f, low coefficients in ``itertools.product`` order, whose
+    product table has no zero outside row 0 and column 0, i.e. the first
+    irreducible one (x^2 + 1 for GF(9)).  The absolute trace is the trace of
+    multiplication, additive in the digits.
+    """
+    if p == 2:
         n = 2**k - 1
-        self.traces = [0]
-        for e in range(n):
-            images = [teich[1 + (e << i) % n] for i in range(k)]
-            acc = [sum(column) % 4 for column in zip(*images)]
-            if any(acc[1:]):
-                raise RuntimeError(f"trace of {teich[1 + e]} did not land in Z_4")
-            self.traces.append(acc[0])
-
-    def _times_xi(self, a) -> tuple[int, ...]:
-        # the lifted modulus is monic, so reduction mod f works over Z_4
-        return _pad(_poly_mulmod(list(a), [0, 1], self.modulus, 4), self.k)
-
-    @staticmethod
-    def _find_primitive_base(k: int) -> list[int]:
-        order = 2**k - 1
-        qs = _prime_divisors(order) if order > 1 else []
-        for low in itertools.product(range(2), repeat=k):
-            f = list(low) + [1]
-            if f[0] == 0 and k > 1:
-                continue  # x divides f
-            if not _is_irreducible(f, 2):
-                continue
-            x = [0, 1] if k > 1 else [(-f[0]) % 2]
-            if _poly_trim(_poly_powmod(x, order, f, 2)) != [1]:
-                continue
-            if any(
-                _poly_trim(_poly_powmod(x, order // q, f, 2)) == [1] for q in qs
-            ):
-                continue
-            return f
-        raise RuntimeError("no primitive polynomial found")  # unreachable
-
-    @staticmethod
-    def _hensel_lift(base: list[int]) -> list[int]:
-        """Monic lift f over Z_4 with f == base mod 2 and f | x^(2^k-1) - 1."""
-        k = len(base) - 1
-        even = IntPolynomial.from_coeffs(base[0::2])
-        odd = IntPolynomial.from_coeffs(base[1::2])
-        y = IntPolynomial.from_coeffs([0, 1])
-        g = even * even
-        oy = y * (odd * odd)
-        size = max(len(g.coeffs), len(oy.coeffs))
-        coeffs = [0] * size
-        for i, c in enumerate(g.coeffs):
-            coeffs[i] += c
-        for i, c in enumerate(oy.coeffs):
-            coeffs[i] -= c
-        sign = 1 if k % 2 == 0 else -1
-        lifted = [(sign * c) % 4 for c in coeffs]
-        lifted = lifted[: k + 1] + [0] * (k + 1 - len(lifted))
-        if lifted[k] != 1:
-            raise RuntimeError("Hensel lift is not monic")
-        if any((lifted[i] - base[i]) % 2 for i in range(k + 1)):
-            raise RuntimeError("Hensel lift does not reduce to the base polynomial")
-        return lifted
+        e = np.arange(n)
+        prod = np.zeros((n + 1, n + 1), dtype=np.int64)
+        prod[1:, 1:] = 1 + (e[:, None] + e) % n
+        _, powers = _galois_ring(k)
+        return prod, np.concatenate(([0], _power_traces(powers, n) % 4))
+    place = p ** np.arange(k)
+    digits = np.arange(p**k)[:, None] // place % p                       # [i, s]
+    for low in itertools.product(range(p), repeat=k):
+        rows = _power_rows(low + (1,), p, 2 * k - 1)
+        # x^s x^u = x^(s+u): digit rows a, b multiply to sum a_s b_u rows[s+u]
+        pair = rows[np.add.outer(np.arange(k), np.arange(k))]             # [s, u, c]
+        prod = (np.einsum("is,ju,suc->ijc", digits, digits, pair) % p) @ place
+        if prod[1:, 1:].all():
+            return prod, digits @ _power_traces(rows, k) % p
+    raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +177,6 @@ def _verified(family: MubFamily) -> MubFamily:
             f"constructed family failed verification: {'; '.join(check.failures)}"
         )
     return family
-
-
-def _index_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The product table and the trace of every element of the index set of
-    the d = p^k family: GF(p^k) for odd p, the Teichmueller set of GR(4, k)
-    for p = 2.  Index i is ``GaloisField.elements[i]`` or
-    ``_GaloisRing4.teichmuller[i]``.
-    """
-    if p == 2:
-        ring = _GaloisRing4(k)
-        n = 2**k - 1
-        # T[1 + e] = xi^e, so nonzero products add exponents mod 2^k - 1
-        e = np.arange(n)
-        prod = np.zeros((n + 1, n + 1), dtype=np.int64)
-        prod[1:, 1:] = 1 + (e[:, None] + e) % n
-        return prod, np.array(ring.traces)
-    gf = GaloisField(p, k)
-    index = {x: i for i, x in enumerate(gf.elements)}
-    prod = np.array([[index[gf.mul(x, y)] for y in gf.elements] for x in gf.elements])
-    return prod, np.array([gf.trace(x) for x in gf.elements])
 
 
 def _trace_family(p: int, k: int) -> tuple[tuple[np.ndarray, ...], int]:

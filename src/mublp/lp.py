@@ -725,6 +725,8 @@ def _load_checkpoint(directory: str, problem: LpProblem):
     if not os.path.exists(path):
         return None
     payload = load_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint at {path} is not a JSON object")
     key = _checkpoint_key(problem)
     if any(payload.get(k) != v for k, v in key.items()):
         raise ValueError(f"checkpoint at {path} was written for a different problem")

@@ -373,7 +373,11 @@ def trig_to_json_obj(t: TrigPolynomial) -> dict:
 
 
 def trig_from_json_obj(obj) -> TrigPolynomial:
+    if not isinstance(obj, dict):
+        raise ValueError("the file does not hold a JSON object")
     grid = int(obj["m"]) if obj.get("mode") == "grid" else None
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid order m = {grid} is not positive")
     terms = {}
     for item in obj["terms"]:
         coeff = item["coeff"]

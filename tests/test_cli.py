@@ -147,6 +147,24 @@ def test_pseudo_check_exit_codes(run_cli, tmp_path):
     assert code == 2, err  # input error
 
 
+_GRID_TERMS = [{"gamma": [0, 0], "coeff": "9"}]
+
+
+@pytest.mark.parametrize("candidate", [
+    [],
+    {"dim": 2, "mode": "grid", "m": 0, "terms": _GRID_TERMS},
+    {"dim": 2, "mode": "grid", "m": -3, "terms": _GRID_TERMS},
+], ids=["not_an_object", "m_zero", "m_negative"])
+def test_pseudo_check_refuses_malformed_candidates(tmp_path, capsys, candidate):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(candidate))
+    assert cli.main(["pseudo-check", "--d", "3", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read candidate file {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_export_lp(run_cli, tmp_path):
     code, _, err = run_cli("export-lp", "--d", 2, "--m", 2,
                            "--out", tmp_path / "p.lp")
@@ -582,3 +600,14 @@ def test_lp_rejects_malformed_checkpoint_constraints(tmp_path, capsys, corrupt):
     assert out == ""
     assert err == (f"error: checkpoint at {path} holds a constraint "
                    "that is not 3 integers in [0, 6)\n")
+
+
+def test_lp_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    path = ck / "constraints.json"
+    path.write_text("[]")
+    assert cli.main(["lp", "--d", "3", "--m", "3", "--checkpoint-dir", str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: checkpoint at {path} is not a JSON object\n"

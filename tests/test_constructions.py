@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -6,9 +7,8 @@ from classify_reference import classify_reference
 
 from mublp.config import BudgetExceededError
 from mublp.constructions import (
-    GaloisField,
     SidonSet,
-    _GaloisRing4,
+    _galois_ring,
     _index_tables,
     fourier_matrix,
     is_prime,
@@ -35,41 +35,77 @@ PRIMES = [p for p in range(2, 62) if is_prime(p)]
 # matrices from a product table and a trace table.
 
 
-class _RingReference:
-    """GR(4, k) arithmetic on general elements c = a + 2b, a and b in T."""
+class _Quotient:
+    """Z_q[x]/(f) on coefficient tuples, constant term first; f is monic."""
 
-    def __init__(self, ring: _GaloisRing4):
-        self.k = ring.k
-        self.modulus = ring.modulus
-        self._by_mod2 = {tuple(c % 2 for c in t): t for t in ring.teichmuller}
-        self._trace_cache = {}
-
-    def _reduce(self, a):
-        a = [c % 4 for c in a]
-        k = self.k
-        for i in range(len(a) - 1, k - 1, -1):
-            c = a[i]
-            if c:
-                for t in range(k + 1):
-                    a[i - k + t] = (a[i - k + t] - c * self.modulus[t]) % 4
-        return tuple(a[:k] + [0] * (k - len(a)))
+    def __init__(self, modulus, q):
+        self.modulus = list(modulus)
+        self.q = q
+        self.k = len(self.modulus) - 1
 
     def add(self, a, b):
-        return tuple((x + y) % 4 for x, y in zip(a, b))
+        return tuple((x + y) % self.q for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        k, f = self.k, self.modulus
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            c = conv[i]
+            for t in range(k + 1):
+                conv[i - k + t] -= c * f[t]
+        return tuple(c % self.q for c in conv[:k])
+
+
+class _FieldReference(_Quotient):
+    """GF(p^k) for odd p and k <= 3; element i has the base-p digits of i.
+
+    The modulus is the first monic f of degree k, low coefficients in
+    itertools.product order, without a root in F_p (any f when k = 1): for
+    k <= 3 that is the first irreducible one.
+    """
+
+    def __init__(self, p, k):
+        assert p % 2 and k <= 3
+        for low in itertools.product(range(p), repeat=k):
+            f = list(low) + [1]
+            if k == 1 or all(sum(c * x**i for i, c in enumerate(f)) % p
+                             for x in range(p)):
+                break
+        super().__init__(f, p)
+        self.elements = [tuple(i // p**s % p for s in range(k)) for i in range(p**k)]
+
+    def trace(self, a):
+        """Absolute trace to F_p: the sum of the k Frobenius images a^(p^j)."""
+        acc = img = tuple(a)
+        for _ in range(self.k - 1):
+            img = functools.reduce(self.mul, [img] * self.q)
+            acc = self.add(acc, img)
+        assert not any(acc[1:]), a
+        return acc[0]
+
+
+class _RingReference(_Quotient):
+    """GR(4, k) arithmetic on general elements c = a + 2b, a and b in T.
+
+    The modulus and the Teichmueller set T = [0, 1, xi, xi^2, ...] come from
+    ``_galois_ring``; the trace is the Frobenius sum on general elements.
+    """
+
+    def __init__(self, k):
+        modulus, powers = _galois_ring(k)
+        super().__init__(modulus.tolist(), 4)
+        self.teichmuller = [(0,) * k] + [tuple(r) for r in powers[: 2**k - 1].tolist()]
+        self._by_mod2 = {tuple(c % 2 for c in t): t for t in self.teichmuller}
+        self._trace_cache = {}
 
     def sub(self, a, b):
         return tuple((x - y) % 4 for x, y in zip(a, b))
 
     def double(self, a):
         return tuple((2 * x) % 4 for x in a)
-
-    def mul(self, a, b):
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return self._reduce(conv)
 
     def _frobenius(self, c):
         # c = a + 2b with a, b Teichmueller; frobenius maps it to a^2 + 2 b^2
@@ -112,9 +148,8 @@ def _prime_power_reference(p, k):
     d = p**k
     mats = []
     if p == 2:
-        ring = _GaloisRing4(k)
-        ref = _RingReference(ring)
-        ts = ring.teichmuller
+        ref = _RingReference(k)
+        ts = ref.teichmuller
         quartic = np.exp(2j * np.pi * np.arange(4) / 4)
         for a in ts:
             mat = np.empty((d, d), dtype=complex)
@@ -125,7 +160,7 @@ def _prime_power_reference(p, k):
             mats.append(mat)
         root_order = 4
     else:
-        gf = GaloisField(p, k)
+        gf = _FieldReference(p, k)
         trace = {}
         roots = np.exp(2j * np.pi * np.arange(p) / p)
         xs = gf.elements
@@ -158,8 +193,8 @@ def test_prime_mubs_matches_reference_formula(p):
     _assert_same_family(prime_mubs(p), _prime_reference(p))
 
 
-@pytest.mark.parametrize("p,k", [(p, k) for p in PRIMES for k in range(1, 6)
-                                 if p**k <= 32])
+@pytest.mark.parametrize("p,k", [(p, k) for p in PRIMES for k in range(1, 7)
+                                 if p**k <= 64])
 def test_prime_power_mubs_matches_reference_loops(p, k):
     _assert_same_family(prime_power_mubs(p, k), _prime_power_reference(p, k))
 
@@ -226,54 +261,72 @@ def test_family_points_all_differences_allowed():
                 assert cls in (PointClass.ORT, PointClass.UB), (fam.d, i, j)
 
 
+def _product_table(ref, elements):
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[ref.mul(x, y)] for y in elements] for x in elements]
+
+
 def test_galois_field_structure():
-    gf = GaloisField(3, 2)
-    assert gf.modulus.coeffs == (1, 0, 1)  # x^2 + 1, least lexicographic
-    assert len(gf.elements) == 9
-    one = gf.elements[1]
-    for x in gf.elements[1:]:
-        # multiplicative order divides p^k - 1
-        acc = one
-        order = 0
-        for _ in range(gf.size):
-            acc = gf.mul(acc, x)
-            order += 1
-            if acc == one:
-                break
-        assert acc == one and (gf.size - 1) % order == 0
-    # trace is additive and lands in F_p
-    for x in gf.elements:
-        for y in gf.elements:
-            assert gf.trace(gf.add(x, y)) == (gf.trace(x) + gf.trace(y)) % 3
+    prod, trace = _index_tables(3, 2)
+    # x (index 3) squares to -1 (index 2): the modulus is x^2 + 1, the least
+    # irreducible one in constant-first lexicographic order
+    assert prod[3, 3] == 2
+    for p, k in [(3, 2), (5, 2), (7, 2), (3, 3)]:
+        n = p**k
+        prod, trace = _index_tables(p, k)
+        ref = _FieldReference(p, k)
+        assert prod.tolist() == _product_table(ref, ref.elements), (p, k)
+        assert trace.tolist() == [ref.trace(x) for x in ref.elements], (p, k)
+        # every nonzero element has a multiplicative order dividing p^k - 1
+        for x in range(1, n):
+            acc, order = x, 1
+            while acc != 1:
+                acc, order = prod[acc, x], order + 1
+            assert (n - 1) % order == 0, (p, k, x)
+        # the trace is additive in the digits and lands in F_p
+        plus = [[ref.elements.index(ref.add(x, y)) for y in ref.elements]
+                for x in ref.elements]
+        assert ((trace[plus] - trace[:, None] - trace) % p == 0).all()
+        assert ((0 <= trace) & (trace < p)).all()
 
 
 def test_galois_field_rejects_bad_input():
+    # the tables are private; the public constructors refuse a bad field
     with pytest.raises(ValueError):
-        GaloisField(6, 1)
+        prime_power_mubs(6, 1)
     with pytest.raises(ValueError):
-        GaloisField(3, 0)
+        prime_power_mubs(3, 0)
+    with pytest.raises(ValueError):
+        prime_mubs(9)
 
 
 def test_galois_ring_teichmuller():
-    ring = _GaloisRing4(3)
+    modulus, _ = _galois_ring(3)
     # Hensel lift of x^3 + x^2 + 1 (the least primitive cubic, constant-first
     # order); a degree-3 factor of x^7 - 1 over Z_4
-    assert ring.modulus == [3, 2, 3, 1]
-    lifted_mod2 = [c % 2 for c in ring.modulus]
-    assert lifted_mod2 == [1, 0, 1, 1]
-    assert len(ring.teichmuller) == 8
+    assert modulus.tolist() == [3, 2, 3, 1]
+    assert (modulus % 2).tolist() == [1, 0, 1, 1]
+    ref = _RingReference(3)
+    assert len(ref.teichmuller) == 8
     # trace lands in Z_4 and is additive over doubling
-    ref = _RingReference(ring)
-    for t in ring.teichmuller:
+    for t in ref.teichmuller:
         tr = ref.trace(t)
         assert 0 <= tr < 4
         assert ref.trace(ref.double(t)) == (2 * tr) % 4
-    # the builder's trace table walks exponents on T; the reference runs the
-    # Frobenius on general ring elements
     for k in range(1, 7):
-        ring = _GaloisRing4(k)
-        ref = _RingReference(ring)
-        assert _index_tables(2, k)[1].tolist() == [ref.trace(t) for t in ring.teichmuller]
+        ref = _RingReference(k)
+        ts = ref.teichmuller
+        one, xi = ts[1], ts[1 + 1 % (2**k - 1)]      # ts[1 + e] = xi^e
+        # the lift is monic, xi has order 2^k - 1, and T is a transversal mod 2
+        assert ref.modulus[-1] == 1
+        assert len(set(ts)) == 2**k and ref.mul(ts[-1], xi) == one
+        assert len({tuple(c % 2 for c in t) for t in ts}) == 2**k
+        # the builder's tables add exponents and take the trace of
+        # multiplication; the reference multiplies polynomials and runs the
+        # Frobenius on general ring elements
+        prod, trace = _index_tables(2, k)
+        assert prod.tolist() == _product_table(ref, ts), k
+        assert trace.tolist() == [ref.trace(t) for t in ts], k
 
 
 def test_sidon_search_examples():
