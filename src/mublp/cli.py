@@ -3,8 +3,9 @@
 Every pipeline is a subcommand with machine-readable output (JSON by
 default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
-failed, 2 usage or input error.  Every budget and tolerance is a flag whose
-default is its ``config.DEFAULT_*`` constant; nothing reads the environment.
+failed, 2 usage or input error, an output path that cannot be written
+included.  Every budget and tolerance is a flag whose default is its
+``config.DEFAULT_*`` constant; nothing reads the environment.
 A tolerance, budget, round count or worker count that is not finite and
 > 0, or an ``lp --eps-feas`` below ``lp.ROW_TOL``, is a usage error.
 """
@@ -30,7 +31,7 @@ from .config import (
     DEFAULT_LP_MAX_ROUNDS,
     DEFAULT_SIDON_BUDGET,
 )
-from .serialize import load_json, render_json, write_json
+from .serialize import load_json, open_output, render_json, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,7 +123,7 @@ def cmd_grid(args) -> int:
         _emit(args, payload)
     else:
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open_output(args.out) as fh:
                 torus.grid_to_csv(d, m, fh, budget=budget, workers=args.workers)
         else:
             torus.grid_to_csv(d, m, sys.stdout, budget=budget, workers=args.workers)
@@ -373,7 +374,8 @@ def main(argv=None) -> int:
     except (had.FamilyPointError, lpmod.CertificateError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (InputError, ValueError) as exc:
+    # bad input, or an output path that cannot be written
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # an internal consistency check failed: the run's result cannot be trusted

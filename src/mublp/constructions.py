@@ -20,7 +20,8 @@ each matrix is one numpy gather from the table of tr(a*x).  A prime p is the
 case k = 1.
 
 Both tables come from the rows x^e modulo the field or ring modulus (the
-powers of its companion matrix): products of coefficient rows reduce by
+powers of its companion matrix, from ``cyclo._power_rows``, which owns
+reduction by a monic polynomial): products of coefficient rows reduce by
 them, and the trace of an element is the trace of multiplication by it, so
 tr(x^t) is the sum over s of the x^s coefficient of x^(t+s).
 
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BudgetExceededError, DEFAULT_SIDON_BUDGET
+from .cyclo import _power_rows
 from .hadamard import MubFamily, verify_family
 
 
@@ -74,26 +76,8 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-
 # ---------------------------------------------------------------------------
 # Field and Galois-ring tables from the powers of x
-
-
-def _power_rows(f, q: int, count: int) -> np.ndarray:
-    """The rows x^e mod (f, q), e < count, coefficients constant term first.
-
-    f is monic of degree k, constant term first.  Each row is the previous one
-    times x with x^k replaced by -(f_0 + f_1 x + ... + f_(k-1) x^(k-1)): the
-    powers of the companion matrix of f applied to 1.
-    """
-    k = len(f) - 1
-    low = np.asarray(f[:k], dtype=np.int64)
-    rows = np.zeros((count, k), dtype=np.int64)
-    row = np.eye(k, dtype=np.int64)[0]
-    for e in range(count):
-        rows[e] = row
-        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % q
-    return rows
 
 
 def _power_traces(rows: np.ndarray, count: int) -> np.ndarray:
@@ -120,7 +104,7 @@ def _galois_ring(k: int) -> tuple[np.ndarray, np.ndarray]:
     n = 2**k - 1
     for low in itertools.product(range(2), repeat=k):
         g = np.array(low + (1,))
-        rows = _power_rows(g, 2, n + 1)
+        rows = _power_rows(g, n + 1, q=2)
         is_one = (rows == rows[0]).all(axis=1)          # x^e == 1
         if is_one[n] and not is_one[1:n].any():
             break
@@ -129,7 +113,7 @@ def _galois_ring(k: int) -> tuple[np.ndarray, np.ndarray]:
     f[: len(e)] += e
     f[1 : 1 + len(o)] -= o
     f = (-1) ** k * f % 4
-    return f, _power_rows(f, 4, n + k - 1)
+    return f, _power_rows(f, n + k - 1, q=4)
 
 
 def _index_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +141,7 @@ def _index_tables(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     place = p ** np.arange(k)
     digits = np.arange(p**k)[:, None] // place % p                       # [i, s]
     for low in itertools.product(range(p), repeat=k):
-        rows = _power_rows(low + (1,), p, 2 * k - 1)
+        rows = _power_rows(low + (1,), 2 * k - 1, q=p)
         # x^s x^u = x^(s+u): digit rows a, b multiply to sum a_s b_u rows[s+u]
         pair = rows[np.add.outer(np.arange(k), np.arange(k))]             # [s, u, c]
         prod = (np.einsum("is,ju,suc->ijc", digits, digits, pair) % p) @ place

@@ -9,12 +9,15 @@ This is what makes torus-point classification exact: a point whose
 coordinates are rationals a_j/m gives z = 1 + sum zeta_m^(a_j), and the
 squared modulus z * conj(z) is again a cyclotomic integer that can be
 compared to 0 or to the dimension d with no tolerance at all.  The package
-classifies with the array kernel ``torus.exact_codes``, which builds its
-power-basis matrix from ``cyclotomic_polynomial`` alone; ``CycloInt``
+classifies with the array kernel ``torus.exact_codes``; ``CycloInt``
 arithmetic is the scalar reference that the tests check that kernel against.
 
-Intended envelope: m <= 128 (phi(m) stays small).  Larger orders work, just
-slower.  The per-order reduction tables are cached; the cache is filled
+This module owns reduction modulo a monic polynomial: ``_power_rows`` gives
+x^e mod f (and mod q), the powers of f's companion matrix.  With f = Phi_m
+they are the kernel's ``_reduction_matrix`` and, as Python ints, the rows
+``CycloInt`` folds by; ``constructions`` builds its field and Galois-ring
+tables from them.  The kernel serves orders up to m = 4096 (d = 2 grids);
+the tables of the last few orders are cached, and the caches are filled
 idempotently, so concurrent first use is harmless.
 """
 
@@ -23,6 +26,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,16 +53,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
 
     def divexact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Divide by a monic divisor, requiring a zero remainder."""
@@ -93,9 +88,39 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     return poly
 
 
-@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return cyclotomic_polynomial(m).degree
+
+
+def _power_rows(f, count: int, q: int | None = None) -> np.ndarray:
+    """The rows x^e mod f (and mod q, if given), e < count, constant term first.
+
+    f is monic of degree k, constant term first.  Each row is the previous one
+    times x with x^k replaced by -(f_0 + f_1 x + ... + f_(k-1) x^(k-1)): the
+    powers of the companion matrix of f applied to 1.
+    """
+    k = len(f) - 1
+    low = np.asarray(f[:k], dtype=np.int64)
+    rows = np.zeros((count, k), dtype=np.int64)
+    row = np.eye(k, dtype=np.int64)[0]
+    for e in range(count):
+        rows[e] = row
+        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+        if q is not None:
+            row %= q
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _reduction_matrix(m: int) -> np.ndarray:
+    """(phi(m), m) integer matrix: column t is zeta_m**t in the power basis.
+
+    Stored this way round, ``matrix @ values.T`` runs its inner loop over
+    contiguous memory (numpy's integer matmul has no BLAS path).  Only the
+    last few orders stay cached: a table takes phi(m) * m * 8 bytes (64 MB
+    at m = 4096), and rebuilds in well under a millisecond for m <= 24.
+    """
+    return np.ascontiguousarray(_power_rows(cyclotomic_polynomial(m).coeffs, m).T)
 
 
 @lru_cache(maxsize=8)
@@ -103,22 +128,12 @@ def _zeta_power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_m**t for t = 0 .. max(m, 2*phi(m)-1)-1.
 
     Enough rows to fold any product of two reduced elements and to map any
-    exponent taken mod m.  The tables of the last few orders stay cached.
+    exponent taken mod m: row t is column t mod m of ``_reduction_matrix``,
+    as Python ints.  The tables of the last few orders stay cached.
     """
-    phi_m = euler_phi(m)
-    monic = cyclotomic_polynomial(m).coeffs
-    size = max(m, 2 * phi_m - 1)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * phi_m
-    cur[0] = 1
-    for _ in range(size):
-        rows.append(tuple(cur))
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            for i in range(phi_m):
-                cur[i] -= lead * monic[i]
-    return tuple(rows)
+    columns = _reduction_matrix(m).T.tolist()
+    size = max(m, 2 * euler_phi(m) - 1)
+    return tuple(tuple(columns[t % m]) for t in range(size))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from .config import (
     DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
 )
-from .serialize import format_float, load_json, write_json
+from .serialize import format_float, load_json, open_output, write_json
 from .simplex import ITERATION_LIMIT, OPTIMAL, solve_equality_form
 from .torus import (
     _CLASS_BY_CODE,
@@ -776,7 +776,7 @@ def export_lp(problem: LpProblem, path: str, budget: int = DEFAULT_ENUM_BUDGET) 
             f"LP of {len(reps)} rows x {problem.n_orbits} orbits = {cells} "
             f"coefficients exceeds enumeration budget {budget}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"\\ pseudo-MUB linear program d={problem.d} m={problem.m}\n")
         fh.write("\\ variables: one weight per ORT/UB orbit; f(0) fixed to 1\n")
         fh.write("\\ objective value equals M - 1 (total mass minus the origin)\n")

@@ -5,6 +5,9 @@ not a fixed width.  Output files here are compared byte-for-byte (golden
 files, determinism across worker counts), so floats are always rendered with
 17 significant digits, which round-trips IEEE doubles exactly.  Fractions are
 rendered as "p/q" strings.
+
+``open_output`` is the one writer of output files (JSON, CSV and LP text):
+a file is replaced only when it is complete.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 import os
 import uuid
+from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -71,30 +75,40 @@ def render_json(value) -> str:
     return "".join(out) + "\n"
 
 
-def write_json(path, value) -> None:
-    """Render ``value``, then replace ``path`` with it atomically.
+@contextmanager
+def open_output(path):
+    """A text file whose contents replace ``path`` only if the block completes.
 
-    The text goes to a temporary file in the target's directory, which
-    ``os.replace`` then renames over ``path``; a render or write that fails
-    leaves any previous file untouched and removes the temporary file.
-    A path that exists but is no regular file (``/dev/stdout``, a pipe) is
-    written in place.
+    The block writes to a temporary file in the target's directory, which
+    ``os.replace`` then renames over ``path``; a block that raises leaves any
+    previous file untouched and removes the temporary file.  A path that
+    exists but is no regular file (``/dev/stdout``, a pipe) is written in
+    place.  A temporary file that cannot be created is reported as ``path``.
     """
-    text = render_json(value)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         return
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_json(path, value) -> None:
+    """Render ``value``, then replace ``path`` with it (``open_output``)."""
+    text = render_json(value)
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 def load_json(path):

@@ -16,9 +16,11 @@ roundoff; the formula is ``_filter_error_bound``), so a row farther than
 1e-6 from both 0 and d is FORBIDDEN.  Only the rows near 0 or d (on every
 grid checked, exactly the ORT/UB rows) are confirmed by integer arithmetic
 on their root-of-unity multiplicity counts; for d > 13, where the bound is
-too close to 1e-6, every row is.  ``float_codes`` classifies rows of float
-coordinates in 64-bit floating point with tolerance ``eps``.  ``classify``
-is their one-point front end.  ``float_grid_codes`` stays apart, as the
+too close to 1e-6, every row is.  The counts reach the power basis through
+``cyclo._reduction_matrix``, the powers of x modulo Phi_m, which ``cyclo``
+owns.  ``float_codes`` classifies rows of float coordinates in 64-bit
+floating point with tolerance ``eps``.  ``classify`` is their one-point
+front end.  ``float_grid_codes`` stays apart, as the
 independent floating oracle for the exact grid scan.
 
 Grid enumeration is vectorised.  A point's class only depends on the
@@ -36,7 +38,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .config import (
     DEFAULT_EPS,
     run_chunked,
 )
-from .cyclo import cyclotomic_polynomial
+from .cyclo import _reduction_matrix
 
 
 class PointClass(enum.Enum):
@@ -230,29 +231,6 @@ def _decode_digits(indices: np.ndarray, m: int, n: int) -> np.ndarray:
         digits[:, j] = rest % m
         rest = rest // m
     return digits
-
-
-@lru_cache(maxsize=8)
-def _reduction_matrix(m: int) -> np.ndarray:
-    """(phi(m), m) integer matrix: column t is zeta_m**t in the power basis.
-
-    Stored this way round, ``matrix @ values.T`` runs its inner loop over
-    contiguous memory (numpy's integer matmul has no BLAS path).  Only the
-    last few orders stay cached: a table takes phi(m) * m * 8 bytes (64 MB
-    at m = 4096), and rebuilds in well under a millisecond for m <= 24.
-    """
-    monic = np.array(cyclotomic_polynomial(m).coeffs[:-1], dtype=np.int64)
-    matrix = np.empty((monic.size, m), dtype=np.int64)
-    power = np.zeros(monic.size, dtype=np.int64)
-    power[0] = 1
-    for lo in range(0, m, 256):     # columns in blocks, written row-wise
-        block = []
-        for _ in range(min(256, m - lo)):
-            block.append(power)
-            # times zeta, then zeta**phi(m) = -(Phi_m(zeta) - zeta**phi(m))
-            power = np.concatenate(([0], power[:-1])) - power[-1] * monic
-        matrix[:, lo : lo + len(block)] = np.array(block).T
-    return matrix
 
 
 # A row whose float |1 + sum zeta^(a_j)|^2 is farther than this from 0 and

@@ -383,6 +383,8 @@ def trig_from_json_obj(obj) -> TrigPolynomial:
         coeff = item["coeff"]
         if isinstance(coeff, str):
             num, _, den = coeff.partition("/")
+            if not int(den or 1):
+                raise ValueError(f"coefficient {coeff!r} has a zero denominator")
             coeff = Fraction(int(num), int(den or 1))
         terms[tuple(int(g) for g in item["gamma"])] = coeff
     return TrigPolynomial.from_terms(int(obj["dim"]), terms, grid=grid)

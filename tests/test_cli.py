@@ -154,7 +154,8 @@ _GRID_TERMS = [{"gamma": [0, 0], "coeff": "9"}]
     [],
     {"dim": 2, "mode": "grid", "m": 0, "terms": _GRID_TERMS},
     {"dim": 2, "mode": "grid", "m": -3, "terms": _GRID_TERMS},
-], ids=["not_an_object", "m_zero", "m_negative"])
+    {"dim": 2, "mode": "grid", "m": 4, "terms": [{"gamma": [0, 0], "coeff": "1/0"}]},
+], ids=["not_an_object", "m_zero", "m_negative", "zero_denominator"])
 def test_pseudo_check_refuses_malformed_candidates(tmp_path, capsys, candidate):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(candidate))
@@ -611,3 +612,52 @@ def test_lp_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: checkpoint at {path} is not a JSON object\n"
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["construct", "--d", "3", "--kind", "prime", "--out"], "missing/x.json"),
+    (["lp", "--d", "3", "--m", "3", "--dual-witness"], "missing/w.json"),
+    (["grid", "--d", "3", "--m", "3", "--out"], "missing/g.csv"),
+    (["export-lp", "--d", "3", "--m", "3", "--out"], "missing/p.lp"),
+    (["lp", "--d", "3", "--m", "3", "--checkpoint-dir"], "file"),
+], ids=["construct", "dual_witness", "grid", "export_lp", "checkpoint_dir_is_a_file"])
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, argv, target):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    assert cli.main(argv + [path]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert repr(path) in err and ".tmp" not in err     # the path as given
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_over_budget_grid_keeps_the_previous_csv(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"previous\n")
+    argv = ["grid", "--d", "3", "--m", "4", "--enum-budget", "15", "--out", str(path)]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == (
+        "error: grid of 16 points exceeds enumeration budget 15\n")
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["g.csv"]
+
+
+def test_interrupted_export_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.lp"
+    path.write_bytes(b"previous\n")
+    row = lpmod.LpProblem.constraint_row
+    written = []
+
+    def interrupted(problem, gamma):
+        if written:                     # the second row fails mid-file
+            raise KeyboardInterrupt
+        written.append(gamma)
+        return row(problem, gamma)
+
+    monkeypatch.setattr(lpmod.LpProblem, "constraint_row", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["export-lp", "--d", "3", "--m", "6", "--out", str(path)])
+    assert len(written) == 1
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["p.lp"]

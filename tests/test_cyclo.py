@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from mublp import cyclo
@@ -31,12 +32,11 @@ def test_cyclotomic_product_reconstructs_x_m_minus_1():
     # independent check: the product of Phi_d over all divisors d of m
     # must reconstruct x**m - 1
     for m in [1, 2, 6, 12, 30, 36]:
-        prod = IntPolynomial.from_coeffs([1])
+        prod = np.array([1])
         for d in range(1, m + 1):
             if m % d == 0:
-                prod = prod * cyclotomic_polynomial(d)
-        expected = IntPolynomial.from_coeffs([-1] + [0] * (m - 1) + [1])
-        assert prod == expected
+                prod = np.convolve(prod, cyclotomic_polynomial(d).coeffs)
+        assert prod.tolist() == [-1] + [0] * (m - 1) + [1]
 
 
 def test_cyclotomic_degree_is_euler_phi():
@@ -128,3 +128,20 @@ def test_zeta_power_table_cache_is_bounded():
         z = cyclo_from_exponent(m, 1)
         assert cyclo_equals_integer(cyclo_mul(z, cyclo_conj(z)), 1)
     assert cyclo._zeta_power_rows.cache_info().currsize <= 8
+
+
+def test_power_tables_evaluate_to_the_roots_of_unity():
+    # independent of CycloInt: column t of the reduction matrix, evaluated
+    # at exp(2 pi i / m), is exp(2 pi i t / m); the CycloInt rows are the
+    # same columns read at t mod m
+    for m in range(1, 201):
+        matrix = cyclo._reduction_matrix(m)
+        phi = euler_phi(m)
+        assert matrix.shape == (phi, m) and matrix.flags.c_contiguous
+        basis = np.exp(2j * np.pi * np.arange(phi) / m)
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        assert np.abs(basis @ matrix - roots).max() < 1e-9, m
+        rows = cyclo._zeta_power_rows(m)
+        assert len(rows) == max(m, 2 * phi - 1)
+        for t, row in enumerate(rows):
+            assert list(row) == matrix[:, t % m].tolist(), (m, t)
