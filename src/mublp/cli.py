@@ -13,7 +13,9 @@ A tolerance, budget, round count or worker count that is not finite and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import asdict
 from functools import lru_cache, partial
@@ -195,21 +197,29 @@ def _build_problem(args) -> lpmod.LpProblem:
 
 
 def cmd_lp(args) -> int:
-    problem = _build_problem(args)
-    sol = lpmod.solve_lp(
-        problem,
-        eps_feas=args.eps_feas,
-        max_rounds=args.max_rounds,
-        add_per_round=args.add_per_round,
-        checkpoint_dir=args.checkpoint_dir,
-        progress=args.progress or args.m >= 12,
-    )
-    payload = lpmod.solution_to_json_obj(problem, sol)
-    if args.dual_witness:
-        cert = lpmod.extract_dual_witness(sol, problem)
-        write_json(args.dual_witness, witness.trig_to_json_obj(cert))
-        payload["dual_witness_file"] = args.dual_witness
-    _emit(args, payload)
+    # every output path is opened before the solve, so an unwritable one is
+    # a usage error at once; a file is replaced only if the whole run succeeds
+    if args.checkpoint_dir:
+        os.makedirs(args.checkpoint_dir, exist_ok=True)
+    with contextlib.ExitStack() as outputs:
+        cert_fh = (outputs.enter_context(open_output(args.dual_witness))
+                   if args.dual_witness else None)
+        out_fh = outputs.enter_context(open_output(args.out)) if args.out else sys.stdout
+        problem = _build_problem(args)
+        sol = lpmod.solve_lp(
+            problem,
+            eps_feas=args.eps_feas,
+            max_rounds=args.max_rounds,
+            add_per_round=args.add_per_round,
+            checkpoint_dir=args.checkpoint_dir,
+            progress=args.progress or args.m >= 12,
+        )
+        payload = lpmod.solution_to_json_obj(problem, sol)
+        if cert_fh:
+            cert = lpmod.extract_dual_witness(sol, problem)
+            cert_fh.write(render_json(witness.trig_to_json_obj(cert)))
+            payload["dual_witness_file"] = args.dual_witness
+        out_fh.write(render_json(payload))
     return EXIT_OK
 
 

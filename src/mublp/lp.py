@@ -23,6 +23,9 @@ and maps the grid to itself.  One image generator, ``_images``, serves
 points and characters alike: it acts on the extended row of d entries,
 (0, y) for a point and the zero-sum (-sum(gamma), gamma) for a character,
 and ``canonical_codes`` takes the least sorted image over it and negation.
+Every orbit is a union of coordinate multisets, so ``build_orbits``
+canonicalises only the ORT/UB multisets, then expands the ORT/UB multisets
+into their orderings: no array of all m^(d-1) points is formed.
 Orbits are arrays: ``OrbitTable`` holds the members of all orbits in one
 (N, d-1) matrix, grouped by orbit, which the LP uses as it is.
 
@@ -80,9 +83,11 @@ from .torus import (
     PointClass,
     _decode_digits,
     _encode_digits,
+    _expand_multisets,
     exact_codes,
     multiset_rank_tables,
     multiset_ranks,
+    ort_ub_multisets,
     ort_ub_rows,
 )
 from .witness import TrigPolynomial, _transform, delsarte_bound
@@ -148,31 +153,6 @@ def canonical_char(gamma: tuple[int, ...], m: int, use_shift: bool = False):
     return tuple(_decode_digits(code, m, len(gamma))[0].tolist())
 
 
-def _multiset_permutations(rows: np.ndarray) -> np.ndarray:
-    """Every distinct ordering of each row's multiset, stacked.
-
-    Rows holding the same multiset are listed once.  The orderings are built
-    one position at a time over a count matrix (distinct values per row):
-    each partial ordering branches on the values it still has left, so
-    memory grows with the number of distinct orderings, not with the
-    (columns)! permutations a tuple-by-tuple loop would try.
-    """
-    # at most a few dozen rows: a set of sorted tuples, because
-    # np.unique(axis=0) is slow on its first call in a process
-    rows = np.array(sorted(set(map(tuple, np.sort(rows, axis=1).tolist()))),
-                    dtype=np.int64)
-    values, inverse = np.unique(rows, return_inverse=True)
-    counts = np.zeros((len(rows), values.size), dtype=np.int64)
-    np.add.at(counts, (np.arange(len(rows))[:, None], inverse.reshape(rows.shape)), 1)
-    prefix = np.zeros((len(counts), 0), dtype=np.int64)
-    for _ in range(rows.shape[1]):
-        branch, value = np.nonzero(counts)
-        prefix = np.column_stack([prefix[branch], value])
-        counts = counts[branch]
-        counts[np.arange(branch.size), value] -= 1
-    return values[prefix]
-
-
 def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
     """All characters equivalent to gamma (full orbit, not just sorted reps).
 
@@ -183,8 +163,12 @@ def char_orbit(gamma: tuple[int, ...], m: int, use_shift: bool = False) -> set:
     """
     g = np.asarray(gamma, dtype=np.int64).reshape(1, -1) % m
     base = np.vstack(_images(g, m, use_shift, dual=True))
-    rows = _multiset_permutations(np.vstack([base, (-base) % m]))
-    return set(map(tuple, rows.tolist()))
+    # the images' multisets, each once: at most 2d rows, so a set of sorted
+    # tuples (np.unique(axis=0) is slow on its first call in a process)
+    images = np.sort(np.vstack([base, (-base) % m]), axis=1)
+    rows = np.array(sorted(set(map(tuple, images.tolist()))), dtype=np.int64)
+    codes, _ = _expand_multisets(rows, m)
+    return set(map(tuple, _decode_digits(codes, m, g.shape[1]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +236,44 @@ def build_orbits(
     listed by representative.  With ``symmetric=False`` every point is a
     singleton orbit (used for symmetrisation cross-checks), and asking for
     the shift symmetry as well is a ``ValueError``.
+
+    Every orbit is a union of coordinate multisets, so only the ORT/UB
+    multisets are canonicalised; an orbit's members are the orderings of its
+    multisets, ascending within the orbit.
     """
     if use_shift_symmetry and not symmetric:
         raise ValueError("shift symmetry needs orbit symmetry")
-    digits, point_codes = ort_ub_rows(d, m, budget=budget, workers=workers)
-    keys = (canonical_codes(digits, m, use_shift_symmetry) if symmetric
-            else _encode_digits(digits, m))     # linear grid index
-    reps, orbit_of = np.unique(keys, return_inverse=True)
+    n = d - 1
+    if not symmetric:
+        digits, codes = ort_ub_rows(d, m, budget=budget, workers=workers)
+        return OrbitTable(d=d, m=m, symmetric=False, use_shift=False,
+                          representatives=digits, classes=codes, members=digits,
+                          member_orbit=np.arange(len(digits)))
+    rows, ms_codes = ort_ub_multisets(d, m, budget)
+    reps, orbit_of = np.unique(canonical_codes(rows, m, use_shift_symmetry),
+                               return_inverse=True)
     orbit_codes = np.empty(reps.size, dtype=np.uint8)
-    orbit_codes[orbit_of] = point_codes         # the class of some member
-    reps = _decode_digits(reps, m, d - 1)
-    mixed = np.flatnonzero(orbit_codes[orbit_of] != point_codes)
+    orbit_codes[orbit_of] = ms_codes            # the class of some multiset
+    reps = _decode_digits(reps, m, n)
+    mixed = np.flatnonzero(orbit_codes[orbit_of] != ms_codes)
     if mixed.size:
         i, j = orbit_of[mixed[0]], mixed[0]
         raise AssertionError(
             f"orbit {tuple(reps[i].tolist())} mixes classes "
-            f"{_CLASS_BY_CODE[orbit_codes[i]]} and {_CLASS_BY_CODE[point_codes[j]]}"
+            f"{_CLASS_BY_CODE[orbit_codes[i]]} and {_CLASS_BY_CODE[ms_codes[j]]}"
         )
-    # a stable sort keeps each orbit's members in ascending (lexicographic) order
     order = np.argsort(orbit_of, kind="stable")
-    return OrbitTable(d=d, m=m, symmetric=symmetric, use_shift=use_shift_symmetry,
+    points, sizes = _expand_multisets(rows[order], m, workers)
+    member_orbit = np.repeat(orbit_of[order], sizes)
+    # ascending within each orbit: one sort by (orbit, code)
+    span = m**n
+    if reps.size * span < 2**63:
+        points = np.sort(member_orbit * span + points) % span
+    else:
+        points = points[np.lexsort((points, member_orbit))]
+    return OrbitTable(d=d, m=m, symmetric=True, use_shift=use_shift_symmetry,
                       representatives=reps, classes=orbit_codes,
-                      members=digits[order], member_orbit=orbit_of[order])
+                      members=_decode_digits(points, m, n), member_orbit=member_orbit)
 
 
 # ---------------------------------------------------------------------------

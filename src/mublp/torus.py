@@ -24,13 +24,15 @@ front end.  ``float_grid_codes`` stays apart, as the
 independent floating oracle for the exact grid scan.
 
 Grid enumeration is vectorised.  A point's class only depends on the
-multiset of its coordinates, so each multiset is classified once by
-``exact_codes``.  Small rank tables ("multiset of rank r plus coordinate
-a") give, by broadcasting, the multiset rank of every point in C order, and
-the codes are gathered in slabs of whole leading coordinates.  The slabs
-are fixed by (d, m), so results do not depend on the worker count.
-``ort_ub_rows`` lists the ORT/UB grid points as lexicographic digit rows
-with their codes; ``grid_to_csv`` writes that one listing as text.
+multiset of its coordinates, so each of the C(m+d-2, d-1) multisets is
+classified once by ``exact_codes`` (``ort_ub_multisets``).  The ORT/UB
+listing expands the ORT/UB multisets into their distinct orderings
+(``_expand_multisets``), in blocks fixed by (d, m), so results do not depend
+on the worker count, and no m^(d-1) array is formed.  ``ort_ub_rows`` lists
+the ORT/UB grid points as lexicographic digit rows with their codes;
+``grid_to_csv`` writes that one listing as text.  ``exact_grid_codes``
+spreads the multiset codes over the whole cube through small rank tables
+("multiset of rank r plus coordinate a"); it stays as the cube oracle.
 """
 
 from __future__ import annotations
@@ -228,8 +230,7 @@ def _decode_digits(indices: np.ndarray, m: int, n: int) -> np.ndarray:
     digits = np.empty((indices.size, n), dtype=np.int64)
     rest = indices
     for j in range(n - 1, -1, -1):
-        digits[:, j] = rest % m
-        rest = rest // m
+        rest, digits[:, j] = np.divmod(rest, m)
     return digits
 
 
@@ -318,6 +319,28 @@ def exact_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
     return codes
 
 
+def _grow_multisets(rows: np.ndarray, m: int) -> np.ndarray:
+    """The sorted size-(k+1) multiset rows over [0, m) from the size-k ones.
+
+    Each sorted row grows by every value from its last entry up, in
+    ascending order, so ascending rows stay ascending (lexicographic).
+    """
+    last = rows[:, -1] if rows.shape[1] else np.zeros(len(rows), dtype=np.int64)
+    choices = m - last
+    parent = np.repeat(np.arange(len(rows)), choices)
+    # each run of children counts up from its parent's last entry to m - 1
+    value = np.arange(parent.size) - np.repeat(np.cumsum(choices) - m, choices)
+    return np.column_stack([rows[parent], value])
+
+
+def _multiset_rows(n: int, m: int) -> np.ndarray:
+    """The sorted rows of the C(m+n-1, n) size-n multisets over [0, m), by rank."""
+    rows = np.zeros((1, 0), dtype=np.int64)     # the one empty multiset
+    for _ in range(n):
+        rows = _grow_multisets(rows, m)
+    return rows
+
+
 def multiset_rank_tables(n: int, m: int):
     """Rank tables of coordinate multisets of size up to n, and the size-n rows.
 
@@ -325,21 +348,19 @@ def multiset_rank_tables(n: int, m: int):
     rows (``combinations_with_replacement`` order).  ``tables[k-1][a, r]`` is
     the rank of "the size-(k-1) multiset of rank r, plus a"; every size-k
     multiset arises this way.  The second value holds the sorted rows of the
-    C(m+n-1, n) size-n multisets by rank.
+    C(m+n-1, n) size-n multisets by rank, as ``_multiset_rows`` lists them.
     """
     rows = np.zeros((1, 0), dtype=np.int64)     # the one empty multiset
     tables = []
-    for k in range(1, n + 1):
+    for _ in range(n):
         grown = np.concatenate(
             [np.repeat(np.arange(m), len(rows))[:, None], np.tile(rows, (m, 1))],
             axis=1,
         )
         grown.sort(axis=1)
+        rows = _grow_multisets(rows, m)
         # sorted rows order like their big-endian base-m keys
-        _, first, ranks = np.unique(
-            _encode_digits(grown, m), return_index=True, return_inverse=True
-        )
-        rows = grown[first]
+        ranks = np.searchsorted(_encode_digits(rows, m), _encode_digits(grown, m))
         tables.append(ranks.reshape(m, -1))
     return tables, rows
 
@@ -352,17 +373,8 @@ def multiset_ranks(digits: np.ndarray, tables) -> np.ndarray:
     return ranks
 
 
-def exact_grid_codes(
-    d: int,
-    m: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Class codes of every point of the m-grid on T^(d-1), exact path only.
-
-    Returns a flat uint8 array in lexicographic (C) order with values
-    CODE_ZERO/CODE_ORT/CODE_UB/CODE_FORBIDDEN.
-    """
+def _check_multiset_budget(d: int, m: int, budget: int) -> None:
+    """Both grid budget checks: the m^(d-1) points, and multisets x m cells."""
     total = _check_budget(d, m, budget)
     # multisets x m bounds the rank tables (the last one ranks m x C(m+d-3,
     # d-2) grown rows) and the phi(m) x m reduction matrix (m^2 cells at d = 2)
@@ -373,6 +385,101 @@ def exact_grid_codes(
             f"their rank tables and reduction matrix are bounded by {multisets} "
             f"x {m} = {multisets * m} cells, over enumeration budget {budget}"
         )
+
+
+def ort_ub_multisets(
+    d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ORT/UB coordinate multisets of the m-grid on T^(d-1), exact path.
+
+    Returns their sorted (k, d-1) digit rows, ascending, and their uint8
+    class codes.  Every ordering of a multiset has its class.
+    """
+    _check_multiset_budget(d, m, budget)
+    rows = _multiset_rows(d - 1, m)
+    codes = exact_codes(rows, d, m)
+    keep = np.flatnonzero(is_ort_ub(codes))
+    return rows[keep], codes[keep]
+
+
+def _ordering_counts(rows: np.ndarray) -> np.ndarray:
+    """n!/prod(mult!) for each sorted row: its number of distinct orderings.
+
+    The count of the first j+1 entries is the count of the first j times
+    (j+1) over the length of the run of equal entries ending at j, and every
+    partial count is an integer.
+    """
+    counts = np.ones(len(rows), dtype=np.int64)
+    run = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1) if j else run + 1
+        counts = counts * (j + 1) // run
+    return counts
+
+
+def _expand_block(rows: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write the base-m codes of every distinct ordering of each row into out.
+
+    The orderings are grown one position at a time over a count matrix
+    (remaining multiplicity of each value, per partial ordering): each
+    partial ordering branches on the values it still has left, in ascending
+    order, so the codes come out grouped by row and ascending within a row.
+    """
+    k, n = rows.shape
+    cells = (np.arange(k) * m)[:, None] + rows
+    # multiplicities are at most n: uint8 below 256
+    counts = np.bincount(cells.ravel(), minlength=k * m).astype(np.min_scalar_type(n))
+    counts = counts.reshape(k, m)
+    code = np.zeros(k, dtype=np.int64)
+    for j in range(n):
+        # one flat scan: np.nonzero on the 2-D matrix takes twice as long
+        cell = np.flatnonzero(counts)
+        branch, value = np.divmod(cell, m)
+        code = np.take(code, branch) * m + value
+        if j < n - 1:
+            counts = np.take(counts, branch, axis=0)
+            counts.reshape(-1)[np.arange(branch.size) * m + value] -= 1
+    out[:] = code
+
+
+def _expand_multisets(
+    rows: np.ndarray, m: int, workers: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct ordering of each sorted row, as big-endian base-m codes.
+
+    Returns the codes, grouped by row in row order and ascending within a
+    row, and the ordering count of each row.  Rows are expanded in blocks of
+    about _CHUNK // m orderings, fixed by the rows alone, so the result does
+    not depend on ``workers``.
+    """
+    sizes = _ordering_counts(rows)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    codes = np.empty(int(starts[-1]), dtype=np.int64)
+    # a block ends where a row's last ordering crosses a multiple of the step
+    block = (starts[1:] - 1) // max(1, _CHUNK // m)
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rows)]
+    run_chunked(
+        lambda b: _expand_block(rows[b[0] : b[1]], m,
+                                codes[starts[b[0]] : starts[b[1]]]),
+        zip(cuts, cuts[1:]),
+        workers,
+    )
+    return codes, sizes
+
+
+def exact_grid_codes(
+    d: int,
+    m: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    workers: int | None = None,
+) -> np.ndarray:
+    """Class codes of every point of the m-grid on T^(d-1), exact path only.
+
+    Returns a flat uint8 array in lexicographic (C) order with values
+    CODE_ZERO/CODE_ORT/CODE_UB/CODE_FORBIDDEN.  The ORT/UB listing does not
+    use it; it is the cube oracle the listing is checked against.
+    """
+    _check_multiset_budget(d, m, budget)
     tables, rows = multiset_rank_tables(d - 1, m)
     # the root sum 1 + sum zeta^(a_j) only depends on the coordinate multiset
     ms_codes = exact_codes(rows, d, m)
@@ -432,12 +539,12 @@ def ort_ub_rows(
 
     Returns their (k, d-1) digit rows in lexicographic order and their uint8
     class codes (CODE_ORT or CODE_UB); the zero point is in neither class.
+    The ORT/UB multisets are expanded into their orderings and sorted once.
     """
-    codes = exact_grid_codes(d, m, budget=budget, workers=workers)
-    indices = np.flatnonzero(is_ort_ub(codes))
-    point_codes = codes[indices]
-    del codes                   # frees the cube before the rows are decoded
-    return _decode_digits(indices, m, d - 1), point_codes
+    rows, ms_codes = ort_ub_multisets(d, m, budget)
+    points, sizes = _expand_multisets(rows, m, workers)
+    order = np.argsort(points)
+    return _decode_digits(points[order], m, d - 1), np.repeat(ms_codes, sizes)[order]
 
 
 def grid_to_csv(
@@ -450,14 +557,23 @@ def grid_to_csv(
     """One row per ORT/UB point of ``ort_ub_rows``: numerators then the class
     label.
 
-    Lines are assembled column by column from string tables and written
-    _CHUNK rows at a time, so the text of only one block is held at once.
+    Each block of _CHUNK rows is gathered from a byte table of numerator
+    cells ("v," NUL-padded to one width) and label cells, the NUL padding is
+    dropped, and the block is written, so the text of only one block is held
+    at once.
     """
     rows, codes = ort_ub_rows(d, m, budget=budget, workers=workers)
-    numerators = np.array([f"{v}," for v in range(m)], dtype=object)
-    labels = np.array(["", "ORT\n", "UB\n", ""], dtype=object)  # by class code
+    n = d - 1
+    width = len(str(m - 1)) + 1
+    numerators = np.array([f"{v},".encode() for v in range(m)], dtype=f"S{width}")
+    numerators = numerators.view(np.uint8).reshape(m, width)
+    labels = np.array([b"", b"ORT\n", b"UB\n", b""], dtype="S4")   # by class code
+    labels = labels.view(np.uint8).reshape(4, 4)
     for lo in range(0, len(rows), _CHUNK):
-        lines = labels[codes[lo : lo + _CHUNK]]
-        for column in rows[lo : lo + _CHUNK].T[::-1]:
-            lines = numerators[column] + lines
-        stream.write("".join(lines.tolist()))
+        block = rows[lo : lo + _CHUNK]
+        text = np.concatenate(
+            [np.take(numerators, block, axis=0).reshape(len(block), n * width),
+             np.take(labels, codes[lo : lo + _CHUNK], axis=0)],
+            axis=1,
+        ).ravel()
+        stream.write(text[text != 0].tobytes().decode("ascii"))

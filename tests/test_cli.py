@@ -17,7 +17,7 @@ from mublp import torus as torusmod
 from mublp import witness as witnessmod
 from mublp.config import resolve_workers
 from mublp.simplex import ITERATION_LIMIT, UNBOUNDED
-from mublp.torus import CODE_UB, ort_ub_rows
+from mublp.torus import CODE_ORT, ort_ub_rows
 
 
 def test_construct_prime_and_verify(run_cli, tmp_path):
@@ -289,15 +289,21 @@ def test_failed_certificate_exits_check_failed(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_check_failure_exits_check_failed(tmp_path, capsys, monkeypatch):
-    codes = torusmod.exact_grid_codes(3, 3)
-    codes[2 * 3 + 1] = CODE_UB            # (2, 1) is ORT, like (1, 2) in its orbit
-    monkeypatch.setattr(torusmod, "exact_grid_codes", lambda *a, **k: codes)
+    classify_rows = torusmod.exact_codes
+
+    def misclassify(digits, d, m):
+        # the multiset (1, 1) turns ORT; its negation (2, 2) stays UB
+        codes = classify_rows(digits, d, m)
+        codes[(digits == 1).all(axis=1)] = CODE_ORT
+        return codes
+
+    monkeypatch.setattr(torusmod, "exact_codes", misclassify)
     code = cli.main(["lp", "--d", "3", "--m", "3",
                      "--dual-witness", str(tmp_path / "dw.json")])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_CHECK_FAILED
     assert out == ""
-    assert err == ("error: internal: orbit (1, 2) mixes classes "
+    assert err == ("error: internal: orbit (1, 1) mixes classes "
                    "PointClass.UB and PointClass.ORT\n")
     assert not (tmp_path / "dw.json").exists()
 
@@ -345,6 +351,22 @@ def test_witness_takes_its_samples_as_classified(capsys, monkeypatch):
     rows, _ = ort_ub_rows(5, 6)
     assert payload["sample_count"] == len(rows)
     assert abs(payload["max_sample_value"]) < 1e-9
+
+
+def test_listings_never_build_the_point_cube(tmp_path, capsys, monkeypatch):
+    # the grid CSV and JSON, the orbits and the witness samples expand the
+    # ORT/UB multisets; the cube oracle is for tests alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the m^(d-1) code cube was built")
+
+    monkeypatch.setattr(torusmod, "exact_grid_codes", refuse)
+    assert cli.main(["grid", "--d", "6", "--m", "8", "--out", str(tmp_path / "g.csv")]) == 0
+    assert cli.main(["grid", "--d", "5", "--m", "6", "--format", "json"]) == 0
+    assert cli.main(["witness", "--d", "5", "--sample-m", "6"]) == 0
+    for shift, symmetric in [(False, True), (True, True), (False, False)]:
+        lpmod.build_orbits(5, 6, use_shift_symmetry=shift, symmetric=symmetric)
+    assert cli.main(["lp", "--d", "4", "--m", "6"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_witness_sample_cube_honours_enum_budget(capsys, monkeypatch):
@@ -630,6 +652,41 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, argv, target
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert repr(path) in err and ".tmp" not in err     # the path as given
     assert os.listdir(tmp_path) == ["file"]
+
+
+@pytest.mark.parametrize("flag,target", [
+    ("--dual-witness", "missing/w.json"),
+    ("--out", "missing/x.json"),
+    ("--checkpoint-dir", "file"),
+], ids=["dual_witness", "out", "checkpoint_dir_is_a_file"])
+def test_unwritable_lp_outputs_fail_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                     flag, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbits built before the outputs were opened")
+
+    monkeypatch.setattr(lpmod, "build_orbits", refuse)
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    assert cli.main(["lp", "--d", "3", "--m", "3", flag, path]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path) in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_failed_certificate_keeps_the_previous_lp_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lpmod, "char_orbit",
+                        lambda gamma, m, use_shift=False: set(itertools.permutations(gamma)))
+    for name in ("dw.json", "lp.json"):
+        (tmp_path / name).write_bytes(b"previous\n")
+    code = cli.main(["lp", "--d", "3", "--m", "3", "--dual-witness",
+                     str(tmp_path / "dw.json"), "--out", str(tmp_path / "lp.json")])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.startswith("error: certificate failed")
+    assert sorted(os.listdir(tmp_path)) == ["dw.json", "lp.json"]
+    assert all((tmp_path / name).read_bytes() == b"previous\n"
+               for name in ("dw.json", "lp.json"))
 
 
 def test_over_budget_grid_keeps_the_previous_csv(tmp_path, capsys):

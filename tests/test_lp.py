@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from classify_reference import classify_reference
 
+from mublp import torus as torusmod
 from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
@@ -231,18 +232,25 @@ def test_canonical_point_codes_match_canonical_point(d, m, use_shift):
 
 
 def _orbits_reference(d, m, use_shift, symmetric):
-    """Orbits grouped point by point in a dict keyed by ``canonical_point``."""
+    """Orbits grouped point by point in a dict keyed by ``canonical_point``,
+    over the ORT/UB points of the cube oracle."""
     codes = exact_grid_codes(d, m)
     classes = {CODE_ORT: PointClass.ORT, CODE_UB: PointClass.UB}
+    linear = np.flatnonzero((codes == CODE_ORT) | (codes == CODE_UB))
     groups = {}
-    for lin, row in enumerate(itertools.product(range(m), repeat=d - 1)):
-        if codes[lin] in classes:
-            key = canonical_point(row, m, use_shift) if symmetric else row
-            groups.setdefault(key, []).append((row, classes[int(codes[lin])]))
+    for lin, row in zip(linear.tolist(), _decode_digits(linear, m, d - 1).tolist()):
+        row = tuple(row)
+        key = canonical_point(row, m, use_shift) if symmetric else row
+        groups.setdefault(key, []).append((row, classes[int(codes[lin])]))
     return [
         (key, tuple(sorted(y for y, _ in group)), {cls for _, cls in group})
         for key, group in sorted(groups.items())
     ]
+
+
+def _orbits_as_lists(table):
+    return [(o.representative, tuple(map(tuple, o.members.tolist())), {o.point_class})
+            for o in table.orbits]
 
 
 @pytest.mark.parametrize("d,m", [(2, 5), (3, 3), (3, 12), (4, 6), (5, 7), (6, 4)])
@@ -255,9 +263,27 @@ def test_build_orbits_matches_dict_reference(d, m, use_shift, symmetric):
             build_orbits(d, m, use_shift_symmetry=True, symmetric=False)
         return
     table = build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
-    got = [(o.representative, tuple(map(tuple, o.members.tolist())), {o.point_class})
-           for o in table.orbits]
-    assert got == _orbits_reference(d, m, use_shift, symmetric)
+    assert _orbits_as_lists(table) == _orbits_reference(d, m, use_shift, symmetric)
+
+
+# every grid the cube oracle lists quickly: m^(d-1) <= 250,000
+ORBIT_GRIDS = [
+    (d, m) for d in range(2, 9) for m in range(1, 25) if m ** (d - 1) <= 250_000
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_build_orbits_matches_dict_reference_on_every_small_grid(monkeypatch, workers):
+    # blocks of 64 orderings split most orbit tables, so workers share them
+    monkeypatch.setattr(torusmod, "_CHUNK", 64)
+    for d, m in ORBIT_GRIDS:
+        for use_shift, symmetric in [(False, True), (True, True), (False, False)]:
+            table = build_orbits(d, m, use_shift_symmetry=use_shift,
+                                 symmetric=symmetric, workers=workers)
+            want = _orbits_reference(d, m, use_shift, symmetric)
+            assert _orbits_as_lists(table) == want, (d, m, use_shift, symmetric)
+            assert np.array_equal(table.member_orbit,
+                                  np.repeat(np.arange(len(want)), table.sizes.astype(int)))
 
 
 @pytest.mark.parametrize("d,m", [(3, 5), (4, 6), (6, 4), (6, 8)])
@@ -277,10 +303,17 @@ def test_orbit_table_arrays(d, m, use_shift):
 
 
 def test_build_orbits_rejects_orbit_with_mixed_classes(monkeypatch):
-    codes = exact_grid_codes(3, 3)
-    codes[2 * 3 + 1] = CODE_UB     # (2, 1) is ORT, like (1, 2) in its orbit
-    monkeypatch.setattr("mublp.torus.exact_grid_codes", lambda *a, **k: codes)
-    with pytest.raises(AssertionError, match="mixes classes"):
+    classify_rows = torusmod.exact_codes
+
+    def misclassify(digits, d, m):
+        # the multiset (1, 1) turns ORT; its negation (2, 2) stays UB
+        codes = classify_rows(digits, d, m)
+        codes[(digits == 1).all(axis=1)] = CODE_ORT
+        return codes
+
+    monkeypatch.setattr(torusmod, "exact_codes", misclassify)
+    with pytest.raises(AssertionError, match=r"orbit \(1, 1\) mixes classes "
+                       r"PointClass.UB and PointClass.ORT"):
         build_orbits(3, 3)
 
 

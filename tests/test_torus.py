@@ -1,12 +1,13 @@
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 from classify_reference import classify_reference
 
 from mublp import torus
-from mublp.config import BudgetExceededError
+from mublp.config import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from mublp.constructions import prime_power_mubs
 from mublp.hadamard import family_to_points
 from mublp.torus import (
@@ -25,6 +26,7 @@ from mublp.torus import (
     grid_to_csv,
     is_ort_ub,
     multiset_rank_tables,
+    ort_ub_multisets,
     ort_ub_rows,
 )
 
@@ -120,6 +122,53 @@ def test_ort_ub_rows_examples():
     # m = 1 has only the zero point
     rows, codes = ort_ub_rows(4, 1)
     assert rows.shape == (0, 3) and codes.size == 0
+
+
+# every grid the cube oracle lists quickly: m^(d-1) <= 250,000
+LISTING_GRIDS = [
+    (d, m) for d in range(1, 9) for m in range(1, 25) if m ** (d - 1) <= 250_000
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_ort_ub_rows_match_the_cube_oracle_on_every_small_grid(monkeypatch, workers):
+    # blocks of 64 orderings split most listings, so workers share them
+    monkeypatch.setattr(torus, "_CHUNK", 64)
+    for d, m in LISTING_GRIDS:
+        rows, codes = ort_ub_rows(d, m, workers=workers)
+        grid = exact_grid_codes(d, m)
+        linear = np.flatnonzero(is_ort_ub(grid))
+        assert rows.dtype == np.int64 and codes.dtype == np.uint8
+        assert np.array_equal(rows, torus._decode_digits(linear, m, d - 1)), (d, m)
+        assert np.array_equal(codes, grid[linear]), (d, m)
+
+
+def test_multiset_rows_are_the_rank_order():
+    for n, m in [(0, 4), (1, 1), (3, 1), (1, 7), (4, 6), (5, 12), (2, 30)]:
+        rows = torus._multiset_rows(n, m)
+        assert rows.dtype == np.int64 and len(rows) == math.comb(m + n - 1, n)
+        assert np.array_equal(rows, multiset_rank_tables(n, m)[1]), (n, m)
+
+
+def test_expanded_multisets_are_their_distinct_orderings():
+    rng = np.random.default_rng(11)
+    for n, m in [(1, 5), (3, 4), (5, 3), (6, 10)]:
+        rows = np.sort(rng.integers(0, m, size=(20, n)), axis=1)
+        codes, sizes = torus._expand_multisets(rows, m)
+        want = [sorted(set(itertools.permutations(row))) for row in rows.tolist()]
+        assert sizes.tolist() == [len(w) for w in want]
+        got = torus._decode_digits(codes, m, n).tolist()
+        assert got == [list(y) for w in want for y in w]
+
+
+def test_ort_ub_multisets_are_the_sorted_listing():
+    for d, m in [(3, 3), (5, 6), (6, 8)]:
+        ms_rows, ms_codes = ort_ub_multisets(d, m)
+        rows, codes = ort_ub_rows(d, m)
+        sorted_rows = np.sort(rows, axis=1)
+        assert np.array_equal(np.unique(sorted_rows, axis=0), ms_rows)
+        for row, code in zip(ms_rows, ms_codes):
+            assert set(codes[(sorted_rows == row).all(axis=1)].tolist()) == {code}
 
 
 def test_digit_codes_round_trip():
@@ -380,6 +429,45 @@ def test_grid_csv_matches_per_row_reference(d, m):
     assert buf.getvalue() == _csv_reference(d, m)
     if m == 1:
         assert buf.getvalue() == ""
+
+
+def _budget(d, m):
+    """The default budget, raised to the grid's size where that is larger."""
+    return max(DEFAULT_ENUM_BUDGET, m ** (d - 1))
+
+
+def _csv_object_reference(d, m):
+    """The grid CSV built column by column from object arrays of strings, on
+    the listing decoded from the cube oracle."""
+    grid = exact_grid_codes(d, m, budget=_budget(d, m))
+    linear = np.flatnonzero(is_ort_ub(grid))
+    rows, codes = torus._decode_digits(linear, m, d - 1), grid[linear]
+    numerators = np.array([f"{v}," for v in range(m)], dtype=object)
+    labels = np.array(["", "ORT\n", "UB\n", ""], dtype=object)   # by class code
+    lines = labels[codes]
+    for column in rows.T[::-1]:
+        lines = numerators[column] + lines
+    return "".join(lines.tolist()), rows
+
+
+@pytest.mark.parametrize("d,m,digits", [
+    (2, 400, {3}),        # 100, 200, 300: full-width cells
+    (3, 330, {1, 3}),     # 0, 110, 220: "0," padded to the width of "329,"
+    (7, 8, set()),        # an empty listing
+    (1, 5, set()),        # d = 1: the origin alone
+    (8, 12, {1, 2}),      # more rows than one _CHUNK block
+])
+def test_grid_csv_byte_table_matches_object_reference(d, m, digits):
+    want, rows = _csv_object_reference(d, m)
+    buf = io.StringIO()
+    grid_to_csv(d, m, buf, budget=_budget(d, m))
+    assert buf.getvalue() == want
+    assert {len(str(v)) for v in np.unique(rows).tolist()} == digits
+    if (d, m) == (8, 12):
+        assert len(rows) > torus._CHUNK
+        other = io.StringIO()
+        grid_to_csv(d, m, other, budget=_budget(d, m), workers=3)
+        assert other.getvalue() == want
 
 
 def test_grid_csv_golden_d3m3():
