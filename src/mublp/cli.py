@@ -237,8 +237,9 @@ def cmd_pseudo_check(args) -> int:
 def cmd_export_lp(args) -> int:
     if not args.out:
         raise InputError("export-lp writes a file: give --out")
-    problem = _build_problem(args)
-    rows = lpmod.export_lp(problem, args.out, budget=args.enum_budget)
+    with open_output(args.out) as fh:     # before the orbits, as in cmd_lp
+        problem = _build_problem(args)
+        rows = lpmod.export_lp(problem, fh, budget=args.enum_budget)
     sys.stdout.write(
         render_json({"d": args.d, "m": args.m, "file": args.out,
                      "orbits": problem.n_orbits, "constraints": rows})

@@ -9,16 +9,16 @@ This is what makes torus-point classification exact: a point whose
 coordinates are rationals a_j/m gives z = 1 + sum zeta_m^(a_j), and the
 squared modulus z * conj(z) is again a cyclotomic integer that can be
 compared to 0 or to the dimension d with no tolerance at all.  The package
-classifies with the array kernel ``torus.exact_codes``; ``CycloInt``
-arithmetic is the scalar reference that the tests check that kernel against.
+classifies with the array kernel ``torus.exact_codes``, which compares the
+Galois conjugates of z * conj(z) instead; ``CycloInt`` arithmetic is the
+scalar reference that the tests check that kernel against.
 
 This module owns reduction modulo a monic polynomial: ``_power_rows`` gives
 x^e mod f (and mod q), the powers of f's companion matrix.  With f = Phi_m
-they are the kernel's ``_reduction_matrix`` and, as Python ints, the rows
-``CycloInt`` folds by; ``constructions`` builds its field and Galois-ring
-tables from them.  The kernel serves orders up to m = 4096 (d = 2 grids);
-the tables of the last few orders are cached, and the caches are filled
-idempotently, so concurrent first use is harmless.
+they are, as Python ints, the rows ``CycloInt`` folds by; ``constructions``
+builds its field and Galois-ring tables from them.  The tables of the last
+few orders are cached, and the cache is filled idempotently, so concurrent
+first use is harmless.
 """
 
 from __future__ import annotations
@@ -112,28 +112,17 @@ def _power_rows(f, count: int, q: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _reduction_matrix(m: int) -> np.ndarray:
-    """(phi(m), m) integer matrix: column t is zeta_m**t in the power basis.
-
-    Stored this way round, ``matrix @ values.T`` runs its inner loop over
-    contiguous memory (numpy's integer matmul has no BLAS path).  Only the
-    last few orders stay cached: a table takes phi(m) * m * 8 bytes (64 MB
-    at m = 4096), and rebuilds in well under a millisecond for m <= 24.
-    """
-    return np.ascontiguousarray(_power_rows(cyclotomic_polynomial(m).coeffs, m).T)
-
-
-@lru_cache(maxsize=8)
 def _zeta_power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_m**t for t = 0 .. max(m, 2*phi(m)-1)-1.
 
     Enough rows to fold any product of two reduced elements and to map any
-    exponent taken mod m: row t is column t mod m of ``_reduction_matrix``,
-    as Python ints.  The tables of the last few orders stay cached.
+    exponent taken mod m: row t is x^t mod Phi_m, as Python ints (Phi_m
+    divides x^m - 1, so row t + m is row t).  The tables of the last few
+    orders stay cached.
     """
-    columns = _reduction_matrix(m).T.tolist()
     size = max(m, 2 * euler_phi(m) - 1)
-    return tuple(tuple(columns[t % m]) for t in range(size))
+    rows = _power_rows(cyclotomic_polynomial(m).coeffs, size).tolist()
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ Every orbit is a union of coordinate multisets, so ``build_orbits``
 canonicalises only the ORT/UB multisets, then expands the ORT/UB multisets
 into their orderings: no array of all m^(d-1) points is formed.
 Orbits are arrays: ``OrbitTable`` holds the members of all orbits in one
-(N, d-1) matrix, grouped by orbit, which the LP uses as it is.
+(N, d-1) matrix, grouped by orbit, which the LP uses as it is, and the
+orbit of each ORT/UB multiset, which the scan spreads over the multisets.
 
 The solver is a constraint-generation loop: solve the restricted LP with the
 revised simplex on x >= 0, scan the transform at *every* character, add the
@@ -75,7 +76,7 @@ from .config import (
     DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
 )
-from .serialize import format_float, load_json, open_output, write_json
+from .serialize import format_float, load_json, write_json
 from .simplex import ITERATION_LIMIT, OPTIMAL, solve_equality_form
 from .torus import (
     _CLASS_BY_CODE,
@@ -86,7 +87,6 @@ from .torus import (
     _expand_multisets,
     exact_codes,
     multiset_rank_tables,
-    multiset_ranks,
     ort_ub_multisets,
     ort_ub_rows,
 )
@@ -192,6 +192,8 @@ class OrbitTable:
     classes: np.ndarray             # uint8 class code per orbit
     members: np.ndarray             # (N, d-1) grouped by orbit, each ascending
     member_orbit: np.ndarray        # orbit id per member, nondecreasing
+    multiset_ranks: np.ndarray      # ranks of the ORT/UB multisets (empty if raw)
+    multiset_orbit: np.ndarray      # orbit id per ORT/UB multiset (empty if raw)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -248,8 +250,9 @@ def build_orbits(
         digits, codes = ort_ub_rows(d, m, budget=budget, workers=workers)
         return OrbitTable(d=d, m=m, symmetric=False, use_shift=False,
                           representatives=digits, classes=codes, members=digits,
-                          member_orbit=np.arange(len(digits)))
-    rows, ms_codes = ort_ub_multisets(d, m, budget)
+                          member_orbit=np.arange(len(digits)),
+                          multiset_ranks=np.arange(0), multiset_orbit=np.arange(0))
+    rows, ms_codes, ranks = ort_ub_multisets(d, m, budget)
     reps, orbit_of = np.unique(canonical_codes(rows, m, use_shift_symmetry),
                                return_inverse=True)
     orbit_codes = np.empty(reps.size, dtype=np.uint8)
@@ -273,7 +276,8 @@ def build_orbits(
         points = points[np.lexsort((points, member_orbit))]
     return OrbitTable(d=d, m=m, symmetric=True, use_shift=use_shift_symmetry,
                       representatives=reps, classes=orbit_codes,
-                      members=_decode_digits(points, m, n), member_orbit=member_orbit)
+                      members=_decode_digits(points, m, n), member_orbit=member_orbit,
+                      multiset_ranks=ranks, multiset_orbit=orbit_of)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +313,8 @@ class LpProblem:
             return
         tables, rows = multiset_rank_tables(n, m)
         self._multiset_tables = tables
-        ranks = multiset_ranks(table.members, tables)
         self._multiset_orbit = np.full(len(rows), self.n_orbits, dtype=np.int64)
-        self._multiset_orbit[ranks] = table.member_orbit
-        if np.any(self._multiset_orbit[ranks] != table.member_orbit):
-            raise AssertionError("an orbit is not closed under permutations")
+        self._multiset_orbit[table.multiset_ranks] = table.multiset_orbit
         self._char_keys = canonical_codes(rows, m, table.use_shift, dual=True)
 
     @property
@@ -763,11 +764,11 @@ def _load_checkpoint(directory: str, problem: LpProblem):
 # optimum of the file equals M - 1 (stated in the header comment).
 
 
-def export_lp(problem: LpProblem, path: str, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Write the full LP to ``path``; returns the number of constraint rows.
+def export_lp(problem: LpProblem, stream, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    """Write the full LP to ``stream``; returns the number of constraint rows.
 
-    The file holds up to rows x orbits coefficients; past ``budget`` of them
-    it raises ``BudgetExceededError`` before ``path`` is opened.
+    The text holds up to rows x orbits coefficients; past ``budget`` of them
+    it raises ``BudgetExceededError`` before the first write.
     """
     reps = problem.char_representatives()
     cells = len(reps) * problem.n_orbits
@@ -776,23 +777,22 @@ def export_lp(problem: LpProblem, path: str, budget: int = DEFAULT_ENUM_BUDGET) 
             f"LP of {len(reps)} rows x {problem.n_orbits} orbits = {cells} "
             f"coefficients exceeds enumeration budget {budget}"
         )
-    with open_output(path) as fh:
-        fh.write(f"\\ pseudo-MUB linear program d={problem.d} m={problem.m}\n")
-        fh.write("\\ variables: one weight per ORT/UB orbit; f(0) fixed to 1\n")
-        fh.write("\\ objective value equals M - 1 (total mass minus the origin)\n")
-        fh.write("Maximize\n mass:")
-        fh.write(_terms_text(problem.objective))
-        fh.write("\nSubject To\n")
-        for gamma in reps:
-            row = problem.constraint_row(gamma)
-            name = "g_" + "_".join(str(v) for v in gamma)
-            fh.write(f" {name}:")
-            fh.write(_terms_text(row))
-            fh.write(" >= -1\n")
-        fh.write("Bounds\n")
-        for i in range(problem.n_orbits):
-            fh.write(f" 0 <= f_{i} <= {format_float(_WEIGHT_BOX)}\n")
-        fh.write("End\n")
+    stream.write(f"\\ pseudo-MUB linear program d={problem.d} m={problem.m}\n")
+    stream.write("\\ variables: one weight per ORT/UB orbit; f(0) fixed to 1\n")
+    stream.write("\\ objective value equals M - 1 (total mass minus the origin)\n")
+    stream.write("Maximize\n mass:")
+    stream.write(_terms_text(problem.objective))
+    stream.write("\nSubject To\n")
+    for gamma in reps:
+        row = problem.constraint_row(gamma)
+        name = "g_" + "_".join(str(v) for v in gamma)
+        stream.write(f" {name}:")
+        stream.write(_terms_text(row))
+        stream.write(" >= -1\n")
+    stream.write("Bounds\n")
+    for i in range(problem.n_orbits):
+        stream.write(f" 0 <= f_{i} <= {format_float(_WEIGHT_BOX)}\n")
+    stream.write("End\n")
     return len(reps)
 
 

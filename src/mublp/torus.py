@@ -13,15 +13,15 @@ numerators a_j over a denominator m exactly in Z[zeta_m] (the exact path is
 authoritative).  A float filter goes first: |1 + sum zeta^(a_j)|^2 computed
 from a table of roots is within O(d^3 u) of its exact value (u the unit
 roundoff; the formula is ``_filter_error_bound``), so a row farther than
-1e-6 from both 0 and d is FORBIDDEN.  Only the rows near 0 or d (on every
-grid checked, exactly the ORT/UB rows) are confirmed by integer arithmetic
-on their root-of-unity multiplicity counts; for d > 13, where the bound is
-too close to 1e-6, every row is.  The counts reach the power basis through
-``cyclo._reduction_matrix``, the powers of x modulo Phi_m, which ``cyclo``
-owns.  ``float_codes`` classifies rows of float coordinates in 64-bit
-floating point with tolerance ``eps``.  ``classify`` is their one-point
-front end.  ``float_grid_codes`` stays apart, as the
-independent floating oracle for the exact grid scan.
+1e-6 from both 0 and d is FORBIDDEN.  The rows near 0 or d (on every grid
+checked, exactly the ORT/UB rows; every row for d > 13, where the bound is
+too close to 1e-6) are decided by the Galois conjugates of that number:
+one ``rfft`` of a row's root-of-unity multiplicity counts gives them all,
+and a nonzero element of Z[zeta_m] has a conjugate of modulus >= 1.
+``float_codes`` classifies rows of float coordinates in 64-bit floating
+point with tolerance ``eps``.  ``classify`` is their one-point front end.
+``float_grid_codes`` stays apart, as the independent floating oracle for
+the exact grid scan.
 
 Grid enumeration is vectorised.  A point's class only depends on the
 multiset of its coordinates, so each of the C(m+d-2, d-1) multisets is
@@ -49,7 +49,6 @@ from .config import (
     DEFAULT_EPS,
     run_chunked,
 )
-from .cyclo import _reduction_matrix
 
 
 class PointClass(enum.Enum):
@@ -198,7 +197,7 @@ def column_to_point(
     if snap_denominator is not None:
         m = int(snap_denominator)
         scaled = rho * m
-        nearest = np.rint(scaled)
+        nearest = np.round(scaled)
         if np.max(np.abs(scaled - nearest), initial=0.0) <= eps * m:
             return TorusPoint.exact(m, nearest.astype(int))
     return TorusPoint.from_floats(rho)
@@ -258,33 +257,49 @@ def _filter_error_bound(d: int) -> float:
     return e * (2 * d + e) + 3 * u * (d + e) ** 2
 
 
-def _confirm_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Exact class codes (ORT, UB or FORBIDDEN) of digit rows in Z[zeta_m].
+def _confirm_error_bound(d: int, m: int) -> float:
+    """Bound on ||chat(k)|^2 - sigma_k(|S|^2)| for ``_confirm_codes``' rfft.
 
-    The multiplicity counts c of a row (the leading 1 included) give
-    |1 + sum zeta^(a_j)|^2 = sum_s r_s zeta^s with r_s = sum_t c_t c_(t+s).
-    r is the circular autocorrelation of c, taken as irfft(|rfft(c)|^2) and
-    rounded: its entries are integers in [0, d^2], and the FFT's error is of
-    order log2(m) * u * d^2 (u the unit roundoff), far below 1/2 on every
-    grid the budgets allow, so rounding is exact; the residual is checked to
-    be below 1/4.  r is then reduced to the power basis of Z[zeta_m] and
-    compared with 0 and d.
+    The counts sum to d, so |chat(k)| <= d and ||chat||_2 <= sqrt(m) * d.
+    The FFT's norm-wise relative error is at most the sum of its passes'
+    (Higham, "Accuracy and Stability of Numerical Algorithms", Thm 24.2):
+    L = ceil(log2(4m)) + 2 small-radix passes within 8u each, and passes
+    of prime radix p, direct sums within (p + 2)u, whose radices multiply
+    to at most m.  Bluestein's algorithm, for some lengths with a large
+    prime factor, runs two transforms of length n2 < 4m around chirp
+    products, scaling the error by at most 3*n2/sqrt(m) < 12*sqrt(m).  So
+    |chat(k)| is off by at most e = 12*m*d*(10L + m)*u, and |chat(k)|^2,
+    as in ``_filter_error_bound``, by e*(2d + e) + 3u*(d + e)**2: about
+    2e-7 at (d, m) = (2, 4472), the largest thin grid the default budget
+    allows, and 1e-7 at (61, 61).  The decision is exact below 1/2.
+    """
+    u = np.finfo(float).eps / 2
+    e = 12 * m * d * (10 * (math.ceil(math.log2(4 * m)) + 2) + m) * u
+    return e * (2 * d + e) + 3 * u * (d + e) ** 2
+
+
+def _confirm_codes(digits: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Exact class codes (ORT, UB or FORBIDDEN) of digit rows over m.
+
+    alpha = |S|^2 - c, S = 1 + sum zeta^(a_j) and c = 0 (ORT) or d (UB),
+    lies in Z[zeta_m].  Its norm, the product of its conjugates sigma_k
+    over the units k of Z/m, is an integer, so alpha != 0 has a conjugate
+    of modulus at least 1.  sigma_k(|S|^2) = |chat(k)|^2, chat the DFT of
+    the row's multiplicity counts (the leading 1 included), and it is real,
+    so the units k <= m/2 of one ``rfft`` give every conjugate, each within
+    ``_confirm_error_bound(d, m)`` < 1/2.  So a row is ORT iff all are below
+    1/2, and UB iff all are within 1/2 of d.
     """
     length = len(digits)
     cells = (np.arange(length) * m)[:, None] + digits
     counts = np.bincount(cells.ravel(), minlength=length * m).reshape(length, m)
     counts[:, 0] += 1  # the leading 1 of the column
-    spectrum = np.fft.rfft(counts, axis=1)
-    autocorr = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, n=m, axis=1)
-    corr = np.rint(autocorr)
-    residual = float(np.max(np.abs(autocorr - corr), initial=0.0))
-    if residual >= 0.25:
-        raise AssertionError(f"FFT autocorrelation off an integer by {residual}")
-    reduced = _reduction_matrix(m) @ corr.astype(np.int64).T
+    units = np.gcd(np.arange(m // 2 + 1), m) == 1
+    spectrum = np.fft.rfft(counts, axis=1)[:, units]
+    power = spectrum.real ** 2 + spectrum.imag ** 2
     codes = np.full(length, CODE_FORBIDDEN, dtype=np.uint8)
-    codes[~reduced.any(axis=0)] = CODE_ORT
-    is_d = (reduced[0] == d) & ~reduced[1:].any(axis=0)
-    codes[is_d] = CODE_UB
+    codes[(power < 0.5).all(axis=1)] = CODE_ORT
+    codes[(np.abs(power - d) < 0.5).all(axis=1)] = CODE_UB
     return codes
 
 
@@ -365,41 +380,35 @@ def multiset_rank_tables(n: int, m: int):
     return tables, rows
 
 
-def multiset_ranks(digits: np.ndarray, tables) -> np.ndarray:
-    """Multiset rank of each row of ``digits``: a fold over its coordinates."""
-    ranks = np.zeros(len(digits), dtype=np.int64)
-    for j, table in enumerate(tables[: digits.shape[1]]):
-        ranks = table[digits[:, j], ranks]
-    return ranks
-
-
 def _check_multiset_budget(d: int, m: int, budget: int) -> None:
     """Both grid budget checks: the m^(d-1) points, and multisets x m cells."""
     total = _check_budget(d, m, budget)
     # multisets x m bounds the rank tables (the last one ranks m x C(m+d-3,
-    # d-2) grown rows) and the phi(m) x m reduction matrix (m^2 cells at d = 2)
+    # d-2) grown rows) and the exact step's count and FFT cells, m per
+    # multiset it decides (m^2 cells at d = 2 if it decides every one)
     multisets = math.comb(m + d - 2, d - 1)
     if multisets * m > budget:
         raise BudgetExceededError(
             f"grid of {total} points has {multisets} coordinate multisets; "
-            f"their rank tables and reduction matrix are bounded by {multisets} "
+            f"their rank tables and count cells are bounded by {multisets} "
             f"x {m} = {multisets * m} cells, over enumeration budget {budget}"
         )
 
 
 def ort_ub_multisets(
     d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ORT/UB coordinate multisets of the m-grid on T^(d-1), exact path.
 
-    Returns their sorted (k, d-1) digit rows, ascending, and their uint8
-    class codes.  Every ordering of a multiset has its class.
+    Returns their sorted (k, d-1) digit rows, ascending, their uint8 class
+    codes and their multiset ranks (their positions in ``_multiset_rows``).
+    Every ordering of a multiset has its class.
     """
     _check_multiset_budget(d, m, budget)
     rows = _multiset_rows(d - 1, m)
     codes = exact_codes(rows, d, m)
     keep = np.flatnonzero(is_ort_ub(codes))
-    return rows[keep], codes[keep]
+    return rows[keep], codes[keep], keep
 
 
 def _ordering_counts(rows: np.ndarray) -> np.ndarray:
@@ -541,7 +550,7 @@ def ort_ub_rows(
     class codes (CODE_ORT or CODE_UB); the zero point is in neither class.
     The ORT/UB multisets are expanded into their orderings and sorted once.
     """
-    rows, ms_codes = ort_ub_multisets(d, m, budget)
+    rows, ms_codes, _ = ort_ub_multisets(d, m, budget)
     points, sizes = _expand_multisets(rows, m, workers)
     order = np.argsort(points)
     return _decode_digits(points[order], m, d - 1), np.repeat(ms_codes, sizes)[order]

@@ -675,6 +675,20 @@ def test_unwritable_lp_outputs_fail_before_the_solve(tmp_path, capsys, monkeypat
     assert os.listdir(tmp_path) == ["file"]
 
 
+def test_unwritable_export_lp_output_fails_before_the_orbits(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbits built before the output was opened")
+
+    monkeypatch.setattr(lpmod, "build_orbits", refuse)
+    path = str(tmp_path / "missing" / "p.lp")
+    assert cli.main(["export-lp", "--d", "3", "--m", "3", "--out", path]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path) in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_certificate_keeps_the_previous_lp_files(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lpmod, "char_orbit",
                         lambda gamma, m, use_shift=False: set(itertools.permutations(gamma)))

@@ -294,6 +294,12 @@ def test_orbit_table_arrays(d, m, use_shift):
     member_codes = canonical_codes(table.members, m, use_shift)
     rep_codes = canonical_codes(table.representatives, m, use_shift)
     assert np.array_equal(member_codes, rep_codes[table.member_orbit])
+    # each member's coordinate multiset is carried once, with the member's orbit
+    keys = torusmod._encode_digits(multiset_rank_tables(d - 1, m)[1], m)
+    ranks = np.searchsorted(keys, torusmod._encode_digits(np.sort(table.members, axis=1), m))
+    carried = list(zip(table.multiset_ranks.tolist(), table.multiset_orbit.tolist()))
+    assert len(carried) == len(set(table.multiset_ranks.tolist()))
+    assert set(carried) == set(zip(ranks.tolist(), table.member_orbit.tolist()))
     orbits = table.orbits
     assert table.sizes.tolist() == [float(len(o.members)) for o in orbits]
     assert table.total_points() == sum(len(o.members) for o in orbits)
@@ -517,8 +523,9 @@ def test_warm_started_lp_matches_scipy_oracle_sweep(d, m, use_shift):
 @st.composite
 def oracle_cases(draw):
     d = draw(st.integers(2, 7))
-    # m <= 1024 at d = 2: every drawn m keeps its phi(m) x m reduction matrix
-    # cached (112 MB at m = 3739); test_torus covers (2, 4096)
+    # m <= 1024 at d = 2 keeps each draw small: the exact step's m x m count
+    # and FFT cells (m multisets) and the oracle's m - 1 scipy rows; test_lp
+    # and test_torus cover (2, 4096)
     m = draw(st.integers(2, max(m for m in range(2, 1025) if m ** (d - 1) <= 4096)))
     mode = draw(st.sampled_from(["symmetric", "shift", "raw"]))
     return d, m, mode, draw(st.sampled_from([1, 2, 64]))
@@ -936,7 +943,8 @@ def test_export_parse_roundtrip():
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.lp")
-        written = export_lp(prob, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            written = export_lp(prob, fh)
         parsed = parse_lp(path)
     assert written == len(parsed["constraints"]) == len(prob.char_representatives())
     for gamma in prob.char_representatives():

@@ -163,7 +163,8 @@ def test_expanded_multisets_are_their_distinct_orderings():
 
 def test_ort_ub_multisets_are_the_sorted_listing():
     for d, m in [(3, 3), (5, 6), (6, 8)]:
-        ms_rows, ms_codes = ort_ub_multisets(d, m)
+        ms_rows, ms_codes, ranks = ort_ub_multisets(d, m)
+        assert np.array_equal(multiset_rank_tables(d - 1, m)[1][ranks], ms_rows)
         rows, codes = ort_ub_rows(d, m)
         sorted_rows = np.sort(rows, axis=1)
         assert np.array_equal(np.unique(sorted_rows, axis=0), ms_rows)
@@ -183,15 +184,13 @@ def test_digit_codes_round_trip():
         assert np.array_equal(torus._encode_digits(cube, m), np.arange(m ** n))
 
 
-def test_reduction_matrix_cache_is_bounded():
-    # d = 2 and 4 | m: the points m/4 and 3m/4 are UB, so every grid is
-    # confirmed in Z[zeta_m] through its reduction matrix
-    first = exact_grid_codes(2, 4)
+def test_thin_grids_with_a_ub_pair_are_decided_exactly():
+    # d = 2 and 4 | m: the points m/4 and 3m/4 are UB, so every grid has
+    # rows that pass the filter and are decided by the Galois conjugates
     for m in range(4, 84, 4):
-        assert np.count_nonzero(exact_grid_codes(2, m) == CODE_UB) == 2
-    assert torus._reduction_matrix.cache_info().currsize <= 8
-    # an evicted order is rebuilt to the same codes
-    assert np.array_equal(exact_grid_codes(2, 4), first)
+        codes = exact_grid_codes(2, m)
+        assert np.flatnonzero(codes == CODE_UB).tolist() == [m // 4, 3 * m // 4]
+        assert np.flatnonzero(codes == CODE_ORT).tolist() == [m // 2]
 
 
 def test_ort_ub_rows_d3m3_against_direct_arithmetic():
@@ -223,9 +222,9 @@ def test_enumeration_budget_guard():
 
 
 def test_multiset_count_matrices_count_against_the_budget():
-    # 300,000 points fit the default budget, but the reduction matrix alone
-    # is bounded by 300,000 x 300,000 cells (and the rank tables by ~8M x
-    # 4,000 at d = 3)
+    # 300,000 points fit the default budget, but the exact step's count cells
+    # are bounded by 300,000 x 300,000 (and the rank tables by ~8M x 4,000
+    # at d = 3)
     for d, m, cells in [(2, 300_000, 300_000 * 300_000), (3, 4_000, 4_001 * 2_000 * 4_000)]:
         with pytest.raises(BudgetExceededError, match=f"{m ** (d - 1)} points.*{cells} cells"):
             exact_grid_codes(d, m)
@@ -366,6 +365,54 @@ def test_family_pair_codes_unchanged_when_every_row_is_decided_exactly(monkeypat
     assert np.array_equal(filtered, unfiltered)
     assert filtered.size == d * d * (d * d - 1) // 2     # d bases, d^2 columns
     assert is_ort_ub(filtered).all()
+
+
+# rows whose float |S|^2 is small at k = 1 while another conjugate is not
+_NEAR_MISSES = [(6, 30, (0, 13, 13, 16, 27)), (7, 21, (0, 7, 8, 9, 16, 16))]
+
+
+@pytest.mark.parametrize("d,m,row", _NEAR_MISSES)
+def test_near_misses_are_forbidden(monkeypatch, d, m, row):
+    s = 1 + sum(np.exp(2j * np.pi * a / m) for a in row)
+    assert abs(s) ** 2 < 1e-3
+    monkeypatch.setattr(torus, "_FILTER_DELTA", float(d * d))    # |v| <= d^2
+    assert exact_codes(np.array([row]), d, m).tolist() == [CODE_FORBIDDEN]
+    assert classify_reference(TorusPoint.exact(m, row), d) is PointClass.FORBIDDEN
+
+
+@pytest.mark.parametrize("d,m", [(6, 30), (7, 21)])
+def test_exact_step_matches_scalar_reference_on_sampled_multisets(monkeypatch, d, m):
+    # every row goes to the exact step; the reference multiplies in Z[zeta_m]
+    rows = multiset_rank_tables(d - 1, m)[1]
+    monkeypatch.setattr(torus, "_FILTER_DELTA", float(d * d))
+    codes = exact_codes(rows, d, m)
+    rng = np.random.default_rng(d * m)
+    sample = np.concatenate([np.flatnonzero(is_ort_ub(codes)),
+                             rng.choice(len(rows), 1_500, replace=False)])
+    for r in sample:
+        point = TorusPoint.exact(m, rows[r])
+        assert codes[r] == _CODE_OF_CLASS[classify_reference(point, d)], (d, m, rows[r])
+    assert is_ort_ub(codes[sample]).any() and (codes[sample] == CODE_FORBIDDEN).any()
+
+
+def test_exact_step_error_bound_stays_below_one_half():
+    # the bound grows with d and m: d = 2 at m = 4472, the largest thin grid
+    # the default budget allows, and (64, 64), which covers every prime-power
+    # family up to d = 64 (their root orders are p, or 4 for p = 2)
+    assert math.comb(4472, 1) * 4472 <= DEFAULT_ENUM_BUDGET < 4473 * 4473
+    assert torus._confirm_error_bound(2, 4472) < 0.5
+    assert torus._confirm_error_bound(64, 64) < 0.5
+    assert torus._confirm_error_bound(64, 4) <= torus._confirm_error_bound(64, 64)
+    # measured: the conjugates of ORT/UB rows, exactly 0 or d, sit within it
+    for d, m in [(2, 4096), (2, 4472), (6, 24), (7, 21), (12, 6)]:
+        rows, codes, _ = ort_ub_multisets(d, m, budget=max(DEFAULT_ENUM_BUDGET, m ** (d - 1)))
+        counts = np.zeros((len(rows), m))
+        np.add.at(counts, (np.arange(len(rows))[:, None], rows), 1)
+        counts[:, 0] += 1
+        power = np.abs(np.fft.rfft(counts, axis=1)) ** 2
+        units = np.gcd(np.arange(m // 2 + 1), m) == 1
+        exact = np.where(codes == CODE_UB, d, 0)[:, None]
+        assert np.abs(power[:, units] - exact).max() <= torus._confirm_error_bound(d, m)
 
 
 def test_classify_matches_scalar_reference_on_random_points():
