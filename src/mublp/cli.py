@@ -6,8 +6,10 @@ byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
 failed, 2 usage or input error, an output path that cannot be written
 included.  Every budget and tolerance is a flag whose default is its
 ``config.DEFAULT_*`` constant; nothing reads the environment.
-A tolerance, budget, round count or worker count that is not finite and
-> 0, or an ``lp --eps-feas`` below ``lp.ROW_TOL``, is a usage error.
+A tolerance, budget or round count that is not finite and > 0, or an
+``lp --eps-feas`` below ``lp.ROW_TOL``, is a usage error.  The grid
+listing runs on one thread per CPU the process may use (``taskset`` limits
+it), and no output depends on that count.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def cmd_verify(args) -> int:
 def cmd_grid(args) -> int:
     d, m, budget = args.d, args.m, args.enum_budget
     if args.format == "json":
-        rows, codes = torus.ort_ub_rows(d, m, budget=budget, workers=args.workers)
+        rows, codes = torus.ort_ub_rows(d, m, budget=budget)
         payload = {
             "d": d,
             "m": m,
@@ -126,9 +128,9 @@ def cmd_grid(args) -> int:
     else:
         if args.out:
             with open_output(args.out) as fh:
-                torus.grid_to_csv(d, m, fh, budget=budget, workers=args.workers)
+                torus.grid_to_csv(d, m, fh, budget=budget)
         else:
-            torus.grid_to_csv(d, m, sys.stdout, budget=budget, workers=args.workers)
+            torus.grid_to_csv(d, m, sys.stdout, budget=budget)
     return EXIT_OK
 
 
@@ -136,7 +138,7 @@ def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
     budget = args.enum_budget
-    rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=budget, workers=args.workers)
+    rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=budget)
     report = witness.delsarte_bound(poly, rows, grid=args.sample_m, eps=args.eps,
                                     budget=budget)
     payload = witness.trig_to_json_obj(poly)
@@ -191,7 +193,6 @@ def _build_problem(args) -> lpmod.LpProblem:
         use_shift_symmetry=args.shift_symmetry,
         symmetric=not args.no_orbit_symmetry,
         budget=args.enum_budget,
-        workers=args.workers,
     )
     return lpmod.LpProblem(table)
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                out_help="output file (default: stdout)"):
         if d_required:
             p.add_argument("--d", type=_positive(int), required=True,
-                           help="dimension d >= 2")
+                           help="dimension d >= 1")
         p.add_argument("--out", help=out_help)
         if eps:
             p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
@@ -297,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--enum-budget", type=_positive(int),
                            default=DEFAULT_ENUM_BUDGET,
                            help="grid enumeration budget (default %(default)d)")
-            p.add_argument("--workers", type=_positive(int), default=None,
-                           help="worker threads for scans (default: one per core)")
 
     # the raw LP has no orbits to quotient by the shift maps
     def symmetry(p):

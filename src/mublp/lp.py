@@ -82,6 +82,7 @@ from .torus import (
     _CLASS_BY_CODE,
     CODE_FORBIDDEN,
     PointClass,
+    _check_budget,
     _decode_digits,
     _encode_digits,
     _expand_multisets,
@@ -229,7 +230,6 @@ def build_orbits(
     use_shift_symmetry: bool = False,
     symmetric: bool = True,
     budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
 ) -> OrbitTable:
     """Partition the ORT/UB grid points under the symmetry group.
 
@@ -247,7 +247,7 @@ def build_orbits(
         raise ValueError("shift symmetry needs orbit symmetry")
     n = d - 1
     if not symmetric:
-        digits, codes = ort_ub_rows(d, m, budget=budget, workers=workers)
+        digits, codes = ort_ub_rows(d, m, budget=budget)
         return OrbitTable(d=d, m=m, symmetric=False, use_shift=False,
                           representatives=digits, classes=codes, members=digits,
                           member_orbit=np.arange(len(digits)),
@@ -266,7 +266,7 @@ def build_orbits(
             f"{_CLASS_BY_CODE[orbit_codes[i]]} and {_CLASS_BY_CODE[ms_codes[j]]}"
         )
     order = np.argsort(orbit_of, kind="stable")
-    points, sizes = _expand_multisets(rows[order], m, workers)
+    points, sizes = _expand_multisets(rows[order], m)
     member_orbit = np.repeat(orbit_of[order], sizes)
     # ascending within each orbit: one sort by (orbit, code)
     span = m**n
@@ -651,13 +651,15 @@ def pseudo_mub_check(
     ``f`` is a grid-mode polynomial whose terms are point weights: support
     inside ORT_d union UB_d union {0} (exact classification), fhat >= -eps on
     the whole cube, total mass d^4, and f(0) = d^2, each within eps and each
-    reported separately.
+    reported separately.  A cube of more than ``DEFAULT_ENUM_BUDGET`` points
+    raises ``BudgetExceededError`` before it is built.
     """
     if f.grid is None:
         raise ValueError("pseudo-MUB candidates live on a grid")
     if f.dim != d - 1:
         raise ValueError(f"candidate has dim {f.dim}, expected {d - 1}")
     m = f.grid
+    _check_budget(d, m, DEFAULT_ENUM_BUDGET)     # fhat fills the (m,)^(d-1) cube
     support = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
     weights = np.array([float(w) for w in f.terms.values()])
     support_ok = not (np.any(weights < -eps)

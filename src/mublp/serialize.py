@@ -2,7 +2,7 @@
 
 ``json.dumps`` prints floats with the shortest round-tripping repr, which is
 not a fixed width.  Output files here are compared byte-for-byte (golden
-files, determinism across worker counts), so floats are always rendered with
+files, determinism across thread counts), so floats are always rendered with
 17 significant digits, which round-trips IEEE doubles exactly.  Fractions are
 rendered as "p/q" strings.
 

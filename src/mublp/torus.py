@@ -20,25 +20,28 @@ one ``rfft`` of a row's root-of-unity multiplicity counts gives them all,
 and a nonzero element of Z[zeta_m] has a conjugate of modulus >= 1.
 ``float_codes`` classifies rows of float coordinates in 64-bit floating
 point with tolerance ``eps``.  ``classify`` is their one-point front end.
-``float_grid_codes`` stays apart, as the independent floating oracle for
-the exact grid scan.
+``float_grid_codes``, the floating oracle for the exact grid scan, gives
+every windowed grid row its ``float_codes`` class.
 
 Grid enumeration is vectorised.  A point's class only depends on the
 multiset of its coordinates, so each of the C(m+d-2, d-1) multisets is
 classified once by ``exact_codes`` (``ort_ub_multisets``).  The ORT/UB
 listing expands the ORT/UB multisets into their distinct orderings
-(``_expand_multisets``), in blocks fixed by (d, m), so results do not depend
-on the worker count, and no m^(d-1) array is formed.  ``ort_ub_rows`` lists
-the ORT/UB grid points as lexicographic digit rows with their codes;
-``grid_to_csv`` writes that one listing as text.  ``exact_grid_codes``
-spreads the multiset codes over the whole cube through small rank tables
-("multiset of rank r plus coordinate a"); it stays as the cube oracle.
+(``_expand_multisets``) in blocks fixed by (d, m), on a pool of one thread
+per CPU the process may run on (``config.resolve_workers``; ``taskset``
+limits it).  The results do not depend on the pool, and no m^(d-1) array
+is formed.  ``ort_ub_rows`` lists the ORT/UB grid points as lexicographic
+digit rows with their codes; ``grid_to_csv`` writes that one listing as
+text.  ``exact_grid_codes`` spreads the multiset codes over the whole cube
+through small rank tables ("multiset of rank r plus coordinate a"), in one
+gather; it stays as the cube oracle.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,7 @@ from .config import (
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
     DEFAULT_EPS,
-    run_chunked,
+    resolve_workers,
 )
 
 
@@ -161,14 +164,22 @@ def float_codes(x: np.ndarray, d: int, eps: float = DEFAULT_EPS) -> np.ndarray:
     summed left to right.  A row within ``eps`` of the origin is ZERO; then
     ORT takes precedence over UB.
     """
-    total = np.zeros(len(x), dtype=complex)
-    for column in np.exp(2j * np.pi * x).T:
+    return _root_sum_codes(np.exp(2j * np.pi * x), np.abs(x) <= eps, d, eps)
+
+
+def _root_sum_codes(
+    roots: np.ndarray, near_zero: np.ndarray, d: int, eps: float
+) -> np.ndarray:
+    """``float_codes`` from each coordinate's root e^(2*pi*i*x) and whether
+    the coordinate is within ``eps`` of 0."""
+    total = np.zeros(len(roots), dtype=complex)
+    for column in roots.T:
         total = total + column
     v = np.abs(1.0 + total) ** 2
-    codes = np.full(len(x), CODE_FORBIDDEN, dtype=np.uint8)
+    codes = np.full(len(roots), CODE_FORBIDDEN, dtype=np.uint8)
     codes[np.abs(v - d) <= eps] = CODE_UB
     codes[np.abs(v) <= eps] = CODE_ORT
-    codes[np.all(np.abs(x) <= eps, axis=1)] = CODE_ZERO
+    codes[np.all(near_zero, axis=1)] = CODE_ZERO
     return codes
 
 
@@ -451,15 +462,13 @@ def _expand_block(rows: np.ndarray, m: int, out: np.ndarray) -> None:
     out[:] = code
 
 
-def _expand_multisets(
-    rows: np.ndarray, m: int, workers: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _expand_multisets(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct ordering of each sorted row, as big-endian base-m codes.
 
     Returns the codes, grouped by row in row order and ascending within a
     row, and the ordering count of each row.  Rows are expanded in blocks of
     about _CHUNK // m orderings, fixed by the rows alone, so the result does
-    not depend on ``workers``.
+    not depend on how many threads share the blocks.
     """
     sizes = _ordering_counts(rows)
     starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -467,20 +476,21 @@ def _expand_multisets(
     # a block ends where a row's last ordering crosses a multiple of the step
     block = (starts[1:] - 1) // max(1, _CHUNK // m)
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rows)]
-    run_chunked(
-        lambda b: _expand_block(rows[b[0] : b[1]], m,
-                                codes[starts[b[0]] : starts[b[1]]]),
-        zip(cuts, cuts[1:]),
-        workers,
-    )
+
+    def expand(lo, hi):
+        _expand_block(rows[lo:hi], m, codes[starts[lo] : starts[hi]])
+
+    threads = min(resolve_workers(), len(cuts) - 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(expand, cuts[:-1], cuts[1:]))
+    else:
+        list(map(expand, cuts[:-1], cuts[1:]))
     return codes, sizes
 
 
 def exact_grid_codes(
-    d: int,
-    m: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
+    d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> np.ndarray:
     """Class codes of every point of the m-grid on T^(d-1), exact path only.
 
@@ -498,51 +508,30 @@ def exact_grid_codes(
         ranks = table[:, ranks].ravel()
     # codes by (leading coordinate, rank of the rest); d = 1 has one point
     leading = ms_codes[tables[-1]] if tables else ms_codes[None, :]
-    codes = np.empty((len(leading), ranks.size), dtype=np.uint8)
-    # slabs of whole leading coordinates, about _CHUNK points each
-    step = max(1, _CHUNK // ranks.size)
-    run_chunked(
-        lambda lo: np.take(leading[lo : lo + step], ranks, axis=1,
-                           out=codes[lo : lo + step]),
-        range(0, len(leading), step),
-        workers,
-    )
-    return codes.ravel()
-
-
-def _float_codes_chunk(d: int, m: int, lo: int, hi: int) -> np.ndarray:
-    n = d - 1
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = _decode_digits(idx, m, n)
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    s = np.ones(idx.size, dtype=complex)
-    for j in range(n):
-        s = s + roots[digits[:, j]]
-    v = np.abs(s) ** 2
-    codes = np.full(idx.size, CODE_FORBIDDEN, dtype=np.uint8)
-    codes[np.abs(v) <= DEFAULT_EPS] = CODE_ORT
-    codes[np.abs(v - d) <= DEFAULT_EPS] = CODE_UB
-    if lo == 0:
-        codes[0] = CODE_ZERO
-    return codes
+    return np.take(leading, ranks, axis=1).ravel()
 
 
 def float_grid_codes(d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Class codes of every grid point via the floating path (cross-check).
 
-    Tolerance ``DEFAULT_EPS``; the chunks run on one thread per core.
+    ``float_codes`` with ``DEFAULT_EPS`` on every digit row, windowed into
+    [-1/2, 1/2), in blocks of _CHUNK points; the root and the near-zero test
+    of each of the m windowed values are taken once, as ``float_codes``
+    would take them, and gathered by digit.
     """
     total = _check_budget(d, m, budget)
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    parts = run_chunked(lambda b: _float_codes_chunk(d, m, *b), bounds)
+    t = np.arange(m)
+    window = (t - m * (2 * t >= m)) / m
+    roots, near_zero = np.exp(2j * np.pi * window), np.abs(window) <= DEFAULT_EPS
+    parts = []
+    for lo in range(0, total, _CHUNK):
+        digits = _decode_digits(np.arange(lo, min(lo + _CHUNK, total)), m, d - 1)
+        parts.append(_root_sum_codes(roots[digits], near_zero[digits], d, DEFAULT_EPS))
     return np.concatenate(parts)
 
 
 def ort_ub_rows(
-    d: int,
-    m: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
+    d: int, m: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ORT/UB points of the m-grid on T^(d-1), exact path only.
 
@@ -551,17 +540,13 @@ def ort_ub_rows(
     The ORT/UB multisets are expanded into their orderings and sorted once.
     """
     rows, ms_codes, _ = ort_ub_multisets(d, m, budget)
-    points, sizes = _expand_multisets(rows, m, workers)
+    points, sizes = _expand_multisets(rows, m)
     order = np.argsort(points)
     return _decode_digits(points[order], m, d - 1), np.repeat(ms_codes, sizes)[order]
 
 
 def grid_to_csv(
-    d: int,
-    m: int,
-    stream,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int | None = None,
+    d: int, m: int, stream, budget: int = DEFAULT_ENUM_BUDGET
 ) -> None:
     """One row per ORT/UB point of ``ort_ub_rows``: numerators then the class
     label.
@@ -571,7 +556,7 @@ def grid_to_csv(
     dropped, and the block is written, so the text of only one block is held
     at once.
     """
-    rows, codes = ort_ub_rows(d, m, budget=budget, workers=workers)
+    rows, codes = ort_ub_rows(d, m, budget=budget)
     n = d - 1
     width = len(str(m - 1)) + 1
     numerators = np.array([f"{v},".encode() for v in range(m)], dtype=f"S{width}")

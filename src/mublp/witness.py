@@ -34,6 +34,7 @@ such as the ORT/UB rows of ``torus.ort_ub_rows``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -372,19 +373,34 @@ def trig_to_json_obj(t: TrigPolynomial) -> dict:
     return obj
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _json_coeff(value):
+    """A coefficient: a JSON integer, a finite JSON number or a "p/q" string."""
+    if isinstance(value, str):
+        num, _, den = value.partition("/")
+        if not int(den or 1):
+            raise ValueError(f"coefficient {value!r} has a zero denominator")
+        return Fraction(int(num), int(den or 1))
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise ValueError(f"coefficient must be a finite number or a \"p/q\" "
+                     f"string, not {value!r}")
+
+
 def trig_from_json_obj(obj) -> TrigPolynomial:
     if not isinstance(obj, dict):
         raise ValueError("the file does not hold a JSON object")
-    grid = int(obj["m"]) if obj.get("mode") == "grid" else None
+    grid = _json_int(obj["m"], "m") if obj.get("mode") == "grid" else None
     if grid is not None and grid < 1:
         raise ValueError(f"grid order m = {grid} is not positive")
     terms = {}
     for item in obj["terms"]:
-        coeff = item["coeff"]
-        if isinstance(coeff, str):
-            num, _, den = coeff.partition("/")
-            if not int(den or 1):
-                raise ValueError(f"coefficient {coeff!r} has a zero denominator")
-            coeff = Fraction(int(num), int(den or 1))
-        terms[tuple(int(g) for g in item["gamma"])] = coeff
-    return TrigPolynomial.from_terms(int(obj["dim"]), terms, grid=grid)
+        gamma = tuple(_json_int(g, "gamma entry") for g in item["gamma"])
+        terms[gamma] = _json_coeff(item["coeff"])
+    return TrigPolynomial.from_terms(_json_int(obj["dim"], "dim"), terms, grid=grid)

@@ -25,15 +25,23 @@ def cli_env():
 
 @pytest.fixture
 def run_cli(tmp_path, cli_env):
-    """Run the CLI in a subprocess in ``tmp_path``: (exit_code, stdout, stderr)."""
+    """Run the CLI in a subprocess in ``tmp_path``: (exit_code, stdout, stderr).
 
-    def _run(*argv, cwd=None):
+    ``pin=True`` pins the child to one CPU before it starts, so the grid
+    listing's thread pool has one thread.
+    """
+
+    def _run(*argv, cwd=None, pin=False):
+        if pin and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        cpu = min(os.sched_getaffinity(0)) if pin else None
         proc = subprocess.run(
             [sys.executable, "-m", "mublp", *[str(a) for a in argv]],
             capture_output=True,
             text=True,
             cwd=cwd or tmp_path,
             env=cli_env,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None,
         )
         return proc.returncode, proc.stdout, proc.stderr
 

@@ -5,6 +5,7 @@ The (d=6, m=16) reproduction is a long-running stretch job and is marked
 slow; deselect with `-m "not slow"`.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -229,18 +230,17 @@ def test_criterion_8_symmetrization_soundness():
     _report("criterion 8c: symmetrization soundness on (3,3) and (2,4)", True)
 
 
-def test_criterion_8_determinism_across_worker_counts(run_cli):
+def test_criterion_8_determinism_across_worker_counts(run_cli, tmp_path):
+    # (7,12) lists 86,590 points and (8,8) 54,285 orbit members, in 4 and 2
+    # blocks: an unpinned child shares them among its CPUs, a pinned one
+    # expands them on one thread
     outputs = []
-    for workers in (1, 4):
-        code, out, err = run_cli("lp", "--d", 3, "--m", 3, "--workers", workers)
-        assert code == 0, err
-        outputs.append(out)
+    for pin in (True, False):
+        grid = run_cli("grid", "--d", 7, "--m", 12, "--format", "json", pin=pin)
+        lp = run_cli("lp", "--d", 8, "--m", 8, "--dual-witness", "w.json", pin=pin)
+        assert grid[0] == 0 and lp[0] == 0, grid[2] + lp[2]
+        outputs.append((grid[1], lp[1], (tmp_path / "w.json").read_text()))
     assert outputs[0] == outputs[1]
-    grids = []
-    for workers in (1, 3):
-        code, out, err = run_cli("grid", "--d", 4, "--m", 4, "--format", "json",
-                                 "--workers", workers)
-        assert code == 0, err
-        grids.append(out)
-    assert grids[0] == grids[1]
-    _report("criterion 8d: byte-identical JSON across worker counts", True)
+    listing = json.loads(outputs[0][0])
+    assert len(listing["ort"]) + len(listing["ub"]) == 86_590
+    _report("criterion 8d: byte-identical JSON on one CPU and on all", True)

@@ -166,6 +166,67 @@ def test_pseudo_check_refuses_malformed_candidates(tmp_path, capsys, candidate):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def _grid_candidate(coeff=9.0, gamma=(0, 0), **fields):
+    return {"dim": 2, "mode": "grid", "m": 4,
+            "terms": [{"gamma": list(gamma), "coeff": coeff}], **fields}
+
+
+# JSON text, since NaN and 1e400 have no Python literal that json.dumps writes
+@pytest.mark.parametrize("text", [
+    json.dumps(_grid_candidate(None)),
+    json.dumps(_grid_candidate(True)),
+    json.dumps(_grid_candidate([1])),
+    json.dumps(_grid_candidate(9.0)).replace("9.0", "1e400"),
+    json.dumps(_grid_candidate(9.0)).replace("9.0", "NaN"),
+    json.dumps(_grid_candidate(gamma=(0, 1.5))),
+    json.dumps(_grid_candidate(dim=2.0)),
+    json.dumps(_grid_candidate(m=4.5)),
+    json.dumps(_grid_candidate(m=True)),
+], ids=["null", "true", "list", "1e400", "nan", "gamma_1.5", "dim_2.0", "m_4.5",
+        "m_true"])
+def test_pseudo_check_refuses_malformed_numbers(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert cli.main(["pseudo-check", "--d", "3", str(path)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read candidate file {path}: ")
+
+
+def test_pseudo_check_refuses_an_over_budget_cube_before_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    # 200^5 points: the transform's complex cube would take 4.66 TiB
+    def refuse(*args):
+        raise AssertionError("the cube was built")
+
+    monkeypatch.setattr(lpmod, "_transform", refuse)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dim": 5, "mode": "grid", "m": 200,
+                                "terms": [{"gamma": [0] * 5, "coeff": 36.0}]}))
+    assert cli.main(["pseudo-check", "--d", "6", str(path)]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: grid of 320000000000 points exceeds enumeration "
+                   "budget 20000000\n")
+
+
+def test_every_witness_file_the_package_writes_reads_back(tmp_path, capsys):
+    # the LP's dual witness (a grid polynomial) and the witness subcommand's
+    # exact expansion ("p/q" coefficients)
+    path = tmp_path / "dw.json"
+    for d, m in [(2, 2), (3, 3), (4, 6), (5, 8)]:
+        assert cli.main(["lp", "--d", str(d), "--m", str(m),
+                         "--dual-witness", str(path)]) == cli.EXIT_OK
+        back = witnessmod.trig_from_json_obj(json.loads(path.read_text()))
+        assert back.grid == m and back.dim == d - 1 and back.terms
+    capsys.readouterr()
+    for d in (2, 4, 7):
+        assert cli.main(["witness", "--d", str(d)]) == cli.EXIT_OK
+        back = witnessmod.trig_from_json_obj(json.loads(capsys.readouterr().out))
+        assert back.terms == witnessmod.expand_h(d).terms
+
+
 def test_export_lp(run_cli, tmp_path):
     code, _, err = run_cli("export-lp", "--d", 2, "--m", 2,
                            "--out", tmp_path / "p.lp")
@@ -225,19 +286,29 @@ def test_help_paths(run_cli):
         assert "usage" in out.lower()
 
 
-def test_outputs_deterministic_across_runs_and_workers(run_cli):
+def test_outputs_deterministic_across_runs_and_workers(run_cli, tmp_path, cli_env):
+    # (7,16) has 20,160 orbit members and (7,12) 86,590 points, in 2 and 4
+    # blocks; the pinned child runs the grid listing on one thread
     baseline = None
-    for workers in (1, 4, 2):
-        code, out, err = run_cli("lp", "--d", 3, "--m", 3, "--workers", workers)
+    for pin in (False, False, True):
+        code, out, err = run_cli("lp", "--d", 7, "--m", 16, pin=pin)
         assert code == 0, err
         if baseline is None:
             baseline = out
         assert out == baseline
-    g1 = run_cli("grid", "--d", 4, "--m", 4, "--format", "json", "--workers", 1)
-    g2 = run_cli("grid", "--d", 4, "--m", 4, "--format", "json", "--workers", 4)
-    assert g1[0] == 0, g1[2]
-    assert g2[0] == 0, g2[2]
-    assert g1[1] == g2[1]
+    for pin in (True, False):
+        code, _, err = run_cli("grid", "--d", 7, "--m", 12, "--out", f"g-{pin}.csv",
+                               pin=pin)
+        assert code == 0, err
+    assert (tmp_path / "g-True.csv").read_bytes() == (tmp_path / "g-False.csv").read_bytes()
+    # the pin leaves the child one CPU, and so a pool of one thread
+    child = subprocess.run(
+        [sys.executable, "-c", "from mublp.config import resolve_workers; "
+         "print(resolve_workers(None))"],
+        capture_output=True, text=True, env=cli_env, check=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+    )
+    assert child.stdout == "1\n"
 
 
 def test_in_process_calls_share_one_parser_without_leaking_options(
@@ -424,8 +495,8 @@ def _assert_parser_refuses(capsys, argv):
 
 
 # (case number, argv, exit code): a tolerance that is not finite and > 0,
-# and a budget, sample grid, dimension, grid order or worker count below 1
-# or not an integer, stop at the parser
+# and a budget, sample grid, dimension or grid order below 1 or not an
+# integer, stop at the parser
 _RANGE_CASES = [
     (0, ["construct", "--d", "5", "--kind", "prime", "--eps", "-1"], cli.EXIT_USAGE),
     (1, ["construct", "--d", "5", "--kind", "prime", "--eps", "nan"], cli.EXIT_USAGE),
@@ -450,9 +521,8 @@ _RANGE_CASES = [
     (18, ["lp", "--d", "3", "--m", "-3"], cli.EXIT_USAGE),
     (19, ["construct", "--kind", "prime", "--d", "0"], cli.EXIT_USAGE),
     (20, ["export-lp", "--m", "3", "--d", "x"], cli.EXIT_USAGE),
-    # any worker count below 1 once meant one thread per core
-    (21, ["lp", "--d", "3", "--m", "3", "--workers", "0"], cli.EXIT_USAGE),
-    (22, ["lp", "--d", "3", "--m", "3", "--workers", "-5"], cli.EXIT_USAGE),
+    # no flag sets the listing's thread count any more
+    (21, ["lp", "--d", "3", "--m", "3", "--workers", "1"], cli.EXIT_USAGE),
 ]
 
 
@@ -460,6 +530,12 @@ _RANGE_CASES = [
     pytest.param(argv, code, id=f"case{i}-{code}") for i, argv, code in _RANGE_CASES
 ])
 def test_out_of_range_settings_are_usage_errors(capsys, argv, code):
+    if argv[-2] == "--workers":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        return
     if code == cli.EXIT_USAGE:
         _assert_parser_refuses(capsys, argv)
         return
@@ -502,7 +578,7 @@ def test_environment_never_changes_a_setting(capsys, monkeypatch):
         monkeypatch.setenv(name, value)
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == unset
-    assert resolve_workers(None) == os.cpu_count()
+    assert resolve_workers(None) == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("command", ["lp", "export-lp"])
@@ -544,7 +620,7 @@ def test_flags_a_subcommand_never_reads_are_usage_errors(capsys, command, flag):
 
 
 def test_grid_flags_still_read_by_lp_and_grid(tmp_path, capsys):
-    assert cli.main(["lp", "--d", "3", "--m", "3", "--workers", "1"]) == cli.EXIT_OK
+    assert cli.main(["lp", "--d", "3", "--m", "3", "--enum-budget", "18"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["M"] == pytest.approx(9.0)
     out = str(tmp_path / "grid.csv")
     # 9 points, and 6 coordinate multisets x 3 count cells

@@ -272,14 +272,15 @@ ORBIT_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_build_orbits_matches_dict_reference_on_every_small_grid(monkeypatch, workers):
-    # blocks of 64 orderings split most orbit tables, so workers share them
+@pytest.mark.parametrize("threads", [1, 3])
+def test_build_orbits_matches_dict_reference_on_every_small_grid(monkeypatch, threads):
+    # blocks of 64 orderings split most orbit tables, so the threads share them
     monkeypatch.setattr(torusmod, "_CHUNK", 64)
+    monkeypatch.setattr(torusmod, "resolve_workers", lambda workers=None: threads)
     for d, m in ORBIT_GRIDS:
         for use_shift, symmetric in [(False, True), (True, True), (False, False)]:
             table = build_orbits(d, m, use_shift_symmetry=use_shift,
-                                 symmetric=symmetric, workers=workers)
+                                 symmetric=symmetric)
             want = _orbits_reference(d, m, use_shift, symmetric)
             assert _orbits_as_lists(table) == want, (d, m, use_shift, symmetric)
             assert np.array_equal(table.member_orbit,

@@ -22,6 +22,7 @@ from mublp.torus import (
     difference,
     exact_codes,
     exact_grid_codes,
+    float_codes,
     float_grid_codes,
     grid_to_csv,
     is_ort_ub,
@@ -130,12 +131,13 @@ LISTING_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_ort_ub_rows_match_the_cube_oracle_on_every_small_grid(monkeypatch, workers):
-    # blocks of 64 orderings split most listings, so workers share them
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ort_ub_rows_match_the_cube_oracle_on_every_small_grid(monkeypatch, threads):
+    # blocks of 64 orderings split most listings, so the threads share them
     monkeypatch.setattr(torus, "_CHUNK", 64)
+    monkeypatch.setattr(torus, "resolve_workers", lambda workers=None: threads)
     for d, m in LISTING_GRIDS:
-        rows, codes = ort_ub_rows(d, m, workers=workers)
+        rows, codes = ort_ub_rows(d, m)
         grid = exact_grid_codes(d, m)
         linear = np.flatnonzero(is_ort_ub(grid))
         assert rows.dtype == np.int64 and codes.dtype == np.uint8
@@ -261,15 +263,17 @@ def test_exact_and_float_codes_agree_on_small_grids():
             assert np.array_equal(exact_grid_codes(d, m), float_grid_codes(d, m)), (d, m)
 
 
-def test_exact_codes_deterministic_across_workers():
-    a = exact_grid_codes(5, 6, workers=1)
-    b = exact_grid_codes(5, 6, workers=4)
-    assert np.array_equal(a, b)
-    # (6, 16) is classified in 4 slabs of 4 leading coordinates, more slabs
-    # than either worker count
-    a = exact_grid_codes(6, 16, workers=1)
-    b = exact_grid_codes(6, 16, workers=3)
-    assert np.array_equal(a, b)
+def test_exact_and_float_codes_agree_past_one_block():
+    # the cube oracle is one gather; the float oracle runs 4 blocks at (6, 16)
+    for d, m in [(5, 6), (6, 16)]:
+        assert np.array_equal(exact_grid_codes(d, m), float_grid_codes(d, m)), (d, m)
+
+
+def test_float_grid_codes_are_float_codes_of_the_windowed_rows():
+    for d, m in [(1, 5), (2, 7), (3, 12), (4, 9), (5, 6)]:
+        digits = torus._decode_digits(np.arange(m ** (d - 1)), m, d - 1)
+        window = (digits - m * (2 * digits >= m)) / m     # in [-1/2, 1/2)
+        assert np.array_equal(float_grid_codes(d, m), float_codes(window, d)), (d, m)
 
 
 _CODE_OF_CLASS = {
@@ -504,7 +508,7 @@ def _csv_object_reference(d, m):
     (1, 5, set()),        # d = 1: the origin alone
     (8, 12, {1, 2}),      # more rows than one _CHUNK block
 ])
-def test_grid_csv_byte_table_matches_object_reference(d, m, digits):
+def test_grid_csv_byte_table_matches_object_reference(monkeypatch, d, m, digits):
     want, rows = _csv_object_reference(d, m)
     buf = io.StringIO()
     grid_to_csv(d, m, buf, budget=_budget(d, m))
@@ -512,9 +516,11 @@ def test_grid_csv_byte_table_matches_object_reference(d, m, digits):
     assert {len(str(v)) for v in np.unique(rows).tolist()} == digits
     if (d, m) == (8, 12):
         assert len(rows) > torus._CHUNK
-        other = io.StringIO()
-        grid_to_csv(d, m, other, budget=_budget(d, m), workers=3)
-        assert other.getvalue() == want
+        for threads in (1, 3):
+            monkeypatch.setattr(torus, "resolve_workers", lambda workers=None: threads)
+            other = io.StringIO()
+            grid_to_csv(d, m, other, budget=_budget(d, m))
+            assert other.getvalue() == want, threads
 
 
 def test_grid_csv_golden_d3m3():
