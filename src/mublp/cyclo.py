@@ -17,8 +17,7 @@ This module owns reduction modulo a monic polynomial: ``_power_rows`` gives
 x^e mod f (and mod q), the powers of f's companion matrix.  With f = Phi_m
 they are, as Python ints, the rows ``CycloInt`` folds by; ``constructions``
 builds its field and Galois-ring tables from them.  The tables of the last
-few orders are cached, and the cache is filled idempotently, so concurrent
-first use is harmless.
+few orders are cached.
 """
 
 from __future__ import annotations

@@ -297,10 +297,8 @@ class LpProblem:
 
     table: OrbitTable
     _cos_table: np.ndarray = field(init=False, repr=False)
-    # symmetric problems: the multiset rank tables and the orbit id of each
-    # coordinate multiset (n_orbits: no support)
+    # symmetric problems: the multiset rank tables
     _multiset_tables: list | None = field(default=None, init=False, repr=False)
-    _multiset_orbit: np.ndarray | None = field(default=None, init=False, repr=False)
     # the class key of each scan position: by multiset rank of the sorted
     # characters with symmetry, the cube index itself without
     _char_keys: np.ndarray = field(init=False, repr=False)
@@ -313,8 +311,6 @@ class LpProblem:
             return
         tables, rows = multiset_rank_tables(n, m)
         self._multiset_tables = tables
-        self._multiset_orbit = np.full(len(rows), self.n_orbits, dtype=np.int64)
-        self._multiset_orbit[table.multiset_ranks] = table.multiset_orbit
         self._char_keys = canonical_codes(rows, m, table.use_shift, dual=True)
 
     @property
@@ -407,9 +403,10 @@ def multiset_fft(values: np.ndarray, tables) -> np.ndarray:
 def _transform_scan(problem: LpProblem, weights: np.ndarray) -> np.ndarray:
     """fhat as a flat real array: by multiset rank of the sorted characters
     for a symmetric problem, over the whole cube (FFT of the weights) else."""
-    if problem.table.symmetric:
-        values = np.append(np.asarray(weights, dtype=float), 0.0)
-        values = values[problem._multiset_orbit]
+    table = problem.table
+    if table.symmetric:
+        values = np.zeros(len(problem._char_keys))
+        values[table.multiset_ranks] = np.asarray(weights, dtype=float)[table.multiset_orbit]
         values[0] = 1.0                     # f(0); the zero multiset has rank 0
         return multiset_fft(values, problem._multiset_tables).real
     w = problem.weight_grid(weights)

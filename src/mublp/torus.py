@@ -73,13 +73,8 @@ _CHUNK = 1 << 18
 
 
 def is_ort_ub(codes: np.ndarray) -> np.ndarray:
-    """Mask of the ORT/UB entries of a uint8 code array, in one temporary.
-
-    ORT and UB are the adjacent codes 1 and 2, so code - 1 is below 2 for them
-    alone (ZERO wraps to 255); the comparison overwrites the difference.
-    """
-    mask = codes - np.uint8(CODE_ORT)
-    return np.less(mask, 2, out=mask.view(np.bool_))
+    """Mask of the ORT/UB entries of a class code array."""
+    return (codes == CODE_ORT) | (codes == CODE_UB)
 
 
 @dataclass(frozen=True)

@@ -628,6 +628,21 @@ def test_dual_witness_with_shift_symmetry():
     assert report.valid and abs(float(report.bound) - sol.M) < 1e-6
 
 
+# the default-flag (7, 12) master ends "unbounded" after about 3 s
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_default_lp_solves_d7_m12():
+    sol = solve_lp(LpProblem(build_orbits(7, 12)))
+    assert sol.M <= 49 + 1e-9
+
+
+def test_shift_symmetric_lp_solves_d7_m12():
+    # 38 orbits, M = 49 = d^2 in 6 rounds, where the default flags fail
+    prob = LpProblem(build_orbits(7, 12, use_shift_symmetry=True))
+    sol = solve_lp(prob)
+    assert abs(sol.M - 49) <= 1e-9, sol.M
+    extract_dual_witness(sol, prob)             # raises unless it validates
+
+
 def _certificate(d, m):
     prob = LpProblem(build_orbits(d, m))
     return prob, extract_dual_witness(solve_lp(prob), prob)
