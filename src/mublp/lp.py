@@ -41,7 +41,8 @@ LP an independent check of the reduction.  Candidates are keyed once per
 problem: with symmetry the class key of every sorted character (its
 ``canonical_codes`` code) is computed when the problem is built, and without
 symmetry the key is the cube index.  A round sorts its violated positions by
-transform value and tries each key at its first position; only the
+transform value and decodes its candidates once: one call decodes every key
+at its first position, and the keys are tried in that order; only the
 characters actually tried become tuples.  Convergence requires a clean full
 scan, so the returned primal is feasible for every character, never just for
 the generated rows.  Weights carry the a-priori box w <= 2: any fully
@@ -438,25 +439,21 @@ def solve_lp(
     n = d - 1
     n_orb = problem.n_orbits
     c = problem.objective
-    reps: list = []
+    # class code -> character of each generated row, in the rows' order
+    generated: dict = {}
     A = np.zeros((0, n_orb))
 
     if checkpoint_dir:
         loaded = _load_checkpoint(checkpoint_dir, problem)
         if loaded:
-            reps = loaded
-            A = np.array([problem.constraint_row(g) for g in reps])
+            codes = _encode_digits(np.array(loaded, dtype=np.int64), m)
+            generated = dict(zip(codes.tolist(), loaded))
+            A = np.array([problem.constraint_row(g) for g in loaded])
             if progress:
-                print(f"resumed from checkpoint with {len(reps)} constraints",
+                print(f"resumed from checkpoint with {len(loaded)} constraints",
                       file=sys.stderr, flush=True)
-    rep_codes = set(
-        _encode_digits(np.array(reps, dtype=np.int64).reshape(len(reps), n), m)
-        .tolist()
-    )
 
     weights = np.full(n_orb, _WEIGHT_BOX)
-    lam = np.zeros(0)
-    mu = np.zeros(n_orb)
     basis = None
     solved_rows = 0
     total_iterations = 0
@@ -501,8 +498,6 @@ def solve_lp(
                 # costs <= 0 on variables >= 0 bound the objective above by 0
                 raise AssertionError(f"restricted master ended {result.status}")
             basis = result.basis
-            lam = result.x[:r]
-            mu = result.x[r : r + n_orb]
             weights = np.clip(-result.duals, 0.0, _WEIGHT_BOX)
             restricted_resid = float((A @ weights + 1.0).min())
             if restricted_resid < -ROW_TOL:
@@ -527,11 +522,12 @@ def solve_lp(
         # sort by value breaks ties lexicographically
         order = violated[np.argsort(scan[violated], kind="stable")]
         keys = problem._char_keys[order]
+        first = np.sort(np.unique(keys, return_index=True)[1])
         added = 0
-        for pos in np.sort(np.unique(keys, return_index=True)[1]).tolist():
-            code = int(keys[pos])
-            key = tuple(_decode_digits(np.array([code]), m, n)[0].tolist())
-            if code in rep_codes:
+        for pos, code, digits in zip(first.tolist(), keys[first].tolist(),
+                                     _decode_digits(keys[first], m, n)):
+            key = tuple(digits.tolist())
+            if code in generated:
                 raise AssertionError(
                     f"generated constraint {key} violated after optimisation "
                     f"({scan[order[pos]]:.3e}); row arithmetic is inconsistent"
@@ -541,8 +537,7 @@ def solve_lp(
             # permute the orbits); duplicated rows make bases singular
             if len(A) and float(np.min(np.max(np.abs(A - row), axis=1))) < 1e-10:
                 continue
-            reps.append(key)
-            rep_codes.add(code)
+            generated[code] = key
             A = np.vstack([A, row])
             added += 1
             if added >= add_per_round:
@@ -552,7 +547,7 @@ def solve_lp(
                 "violations persist but every candidate row is already present"
             )
         if checkpoint_dir:
-            _write_checkpoint(checkpoint_dir, problem, reps, rounds)
+            _write_checkpoint(checkpoint_dir, problem, generated.values(), rounds)
 
     M = 1.0 + float(c @ weights)
     if M > d * d + 1e-6:
@@ -562,7 +557,8 @@ def solve_lp(
     dual: dict = {}
     gap = 0.0
     if solved_rows:
-        box_mult = float(mu.max(initial=0.0))
+        lam = result.x[:solved_rows]
+        box_mult = float(result.x[solved_rows : solved_rows + n_orb].max(initial=0.0))
         if box_mult > 1e-8:
             # a fully feasible f has f(y) <= f(0) = 1 < BOX, so the box must
             # be slack at convergence
@@ -570,12 +566,12 @@ def solve_lp(
                 f"box multiplier {box_mult:.3e} active at convergence"
             )
         dual = {
-            reps[i]: float(lam[i]) for i in range(len(reps)) if lam[i] > 1e-12
+            key: v for key, v in zip(generated.values(), lam.tolist()) if v > 1e-12
         }
         gap = abs((M - 1.0) - sum(dual.values()))
     return LpSolution(
         M=M,
-        weights=weights.copy(),
+        weights=weights,
         dual=dual,
         iterations=total_iterations,
         rounds=rounds,
@@ -740,7 +736,11 @@ def _load_checkpoint(directory: str, problem: LpProblem):
         raise ValueError(
             f"checkpoint at {path} holds a constraint that is not {n} integers in [0, {m})"
         )
-    return [tuple(g) for g in reps]
+    constraints = [tuple(g) for g in reps]
+    if len(set(constraints)) < len(constraints):
+        repeat = next(g for i, g in enumerate(constraints) if g in constraints[:i])
+        raise ValueError(f"checkpoint at {path} repeats constraint {list(repeat)}")
+    return constraints
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,6 @@ def solve_equality_form(
     if bland_after is None:
         bland_after = 5 * (rows + ncols)
 
-    basic = np.zeros(ncols, dtype=bool)
-    basic[basis] = True
     x = np.zeros(ncols)
 
     def refactor() -> None:
@@ -101,11 +99,12 @@ def solve_equality_form(
         )
 
     while True:
-        if iterations >= max_iterations:
-            return result(ITERATION_LIMIT, c[basis] @ binv)
         y = c[basis] @ binv
+        if iterations >= max_iterations:
+            return result(ITERATION_LIMIT, y)
         reduced = c - y @ A
-        eligible = ~basic & (reduced > _EPS_COST)
+        eligible = reduced > _EPS_COST
+        eligible[basis] = False
         if not eligible.any():
             # verify against a fresh factorisation before declaring optimality
             residual = float(np.max(np.abs(A @ x - b), initial=0.0))
@@ -168,11 +167,8 @@ def solve_equality_form(
             degenerate += 1
         x[entering] += t_best
         x[basis] -= u * t_best
-        leaving = basis[leave_row]
-        basic[leaving] = False
-        x[leaving] = 0.0
+        x[basis[leave_row]] = 0.0
         basis[leave_row] = entering
-        basic[entering] = True
 
         pivot = u[leave_row]
         pivots_since_refactor += 1

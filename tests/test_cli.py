@@ -681,7 +681,7 @@ def test_killed_lp_resumes_from_its_checkpoint(run_cli, cli_env, tmp_path):
     assert abs(json.loads(out)["M"] - fresh.M) < 1e-9
 
 
-@pytest.mark.parametrize("corrupt", ["shifted_by_m", "row_one_short"])
+@pytest.mark.parametrize("corrupt", ["shifted_by_m", "row_one_short", "repeated_row"])
 def test_lp_rejects_malformed_checkpoint_constraints(tmp_path, capsys, corrupt):
     ck = tmp_path / "ck"
     assert cli.main(["lp", "--d", "4", "--m", "6", "--checkpoint-dir", str(ck)]) == 0
@@ -690,15 +690,21 @@ def test_lp_rejects_malformed_checkpoint_constraints(tmp_path, capsys, corrupt):
     rows = payload["constraints"]
     if corrupt == "shifted_by_m":
         payload["constraints"] = [[v + 6 for v in g] for g in rows]
-    else:
+    elif corrupt == "row_one_short":
         payload["constraints"] = [rows[0][:-1]] + rows[1:]
+    else:
+        # one code per generated row: a repeat would misalign the multipliers
+        payload["constraints"] = [rows[-1]] + rows
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli.main(["lp", "--d", "4", "--m", "6", "--checkpoint-dir", str(ck)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: checkpoint at {path} holds a constraint "
-                   "that is not 3 integers in [0, 6)\n")
+    if corrupt == "repeated_row":
+        assert err == f"error: checkpoint at {path} repeats constraint {rows[-1]}\n"
+    else:
+        assert err == (f"error: checkpoint at {path} holds a constraint "
+                       "that is not 3 integers in [0, 6)\n")
 
 
 def test_lp_rejects_a_checkpoint_that_is_not_an_object(tmp_path, capsys):

@@ -1004,6 +1004,18 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.rounds <= first.rounds
 
 
+def test_resumed_solve_certifies(tmp_path):
+    # the resumed characters must stay aligned with their multipliers
+    ck = str(tmp_path / "ck")
+    with pytest.raises(BudgetExceededError):
+        solve_lp(LpProblem(build_orbits(5, 12)), max_rounds=2, checkpoint_dir=ck)
+    prob = LpProblem(build_orbits(5, 12))
+    resumed = solve_lp(prob, checkpoint_dir=ck)
+    fresh = solve_lp(LpProblem(build_orbits(5, 12)))
+    assert abs(resumed.M - fresh.M) < 1e-9
+    extract_dual_witness(resumed, prob)
+
+
 def test_checkpoint_bytes_repeat_and_old_stamps_resume(tmp_path):
     prob = LpProblem(build_orbits(4, 6))
     paths = [tmp_path / name / "constraints.json" for name in ("a", "b")]
