@@ -137,10 +137,8 @@ def cmd_grid(args) -> int:
 def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
-    budget = args.enum_budget
-    rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=budget)
-    report = witness.delsarte_bound(poly, rows, grid=args.sample_m, eps=args.eps,
-                                    budget=budget)
+    rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=args.enum_budget)
+    report = witness.delsarte_bound(poly, rows, grid=args.sample_m, eps=args.eps)
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
     payload["constant_term"] = str(poly.constant_term())

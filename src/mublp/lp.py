@@ -591,7 +591,10 @@ def extract_dual_witness(sol: LpSolution, problem: LpProblem) -> TrigPolynomial:
     ``DEFAULT_EPS``) against all ORT/UB grid points checks evenness, the
     coefficient signs and the samples; since the constant term is 1, its
     bound is h(0) and must be within ``GAP_TOLERANCE`` of M.  Either failure
-    is a ``CertificateError``.
+    is a ``CertificateError``.  The samples are evaluated by a direct cosine
+    sum, with no m^(d-1) cube: a symmetric witness takes every ordering of
+    each character with one coefficient, so it is evaluated once per ORT/UB
+    coordinate multiset, and the raw one at every member.
     """
     d, m = problem.d, problem.m
     n = d - 1

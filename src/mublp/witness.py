@@ -25,11 +25,14 @@ TrigPolynomial also hosts grid-mode polynomials: finitely supported
 functions on Z_m^(d-1), used both for LP dual certificates (coefficients on
 characters) and pseudo-MUB candidate functions (weights on points).
 
-Values on a grid come from one FFT evaluator, ``_transform`` (serving
-``delsarte_bound`` and ``lp.pseudo_mub_check``); ``eval_trig`` is the scalar
-reference, and ``check_point_set`` evaluates at family points off any grid.
 ``delsarte_bound`` takes its samples as integer residue rows on one grid,
-such as the ORT/UB rows of ``torus.ort_ub_rows``.
+such as the ORT/UB rows of ``torus.ort_ub_rows``, and evaluates the witness
+at those rows alone by a direct cosine sum (``_sample_values``); a witness
+whose coefficients are invariant under coordinate permutations is evaluated
+once per coordinate multiset of the samples.  ``_transform``, one FFT over
+the whole grid cube, serves ``lp.pseudo_mub_check``, whose transform
+condition covers every point of the cube.  ``eval_trig`` is the scalar
+reference, and ``check_point_set`` evaluates at family points off any grid.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_BUDGET, DEFAULT_EPS
-from .torus import PointClass, TorusPoint, _check_budget, classify
+from .config import DEFAULT_EPS
+from .torus import PointClass, TorusPoint, _ordering_counts, classify
 
 
 class InversionMismatchError(RuntimeError):
@@ -203,13 +206,66 @@ def _support_matrix(t: TrigPolynomial):
     return g, c, t.value_at_zero()
 
 
+def _exponents(t: TrigPolynomial) -> np.ndarray:
+    """t's exponents as a (len(terms), dim) int64 matrix, in term order."""
+    return np.array(list(t.terms), dtype=np.int64).reshape(len(t.terms), t.dim)
+
+
 def _transform(t: TrigPolynomial, grid: int) -> np.ndarray:
     """t(y / grid) at every y of the (grid,)*dim cube: the coefficients added in
     at their exponents mod grid, then one unnormalised FFT."""
-    gammas = np.array(list(t.terms), dtype=np.int64).reshape(len(t.terms), t.dim)
     a = np.zeros((grid,) * t.dim, dtype=complex)
-    np.add.at(a, tuple((gammas % grid).T), [float(c) for c in t.terms.values()])
+    np.add.at(a, tuple((_exponents(t) % grid).T), [float(c) for c in t.terms.values()])
     return np.fft.ifftn(a, norm="forward")
+
+
+# phase entries per block of ``_sample_values``
+_SAMPLE_BLOCK = 1 << 18
+
+
+def _sample_values(t: TrigPolynomial, rows: np.ndarray, grid: int) -> np.ndarray:
+    """Re t(y / grid) at each residue row y: sum_gamma c_gamma cos(2 pi p / grid)
+    with the integer phase p = <gamma, y> mod grid.
+
+    The cosines come from one table of the grid's angles; rows go in blocks
+    of about _SAMPLE_BLOCK phase entries, so memory does not grow with the
+    number of rows.
+    """
+    gammas = _exponents(t) % grid
+    coeffs = np.array([float(c) for c in t.terms.values()])
+    cosines = np.cos(2 * np.pi * np.arange(grid) / grid)
+    values = np.empty(len(rows))
+    step = max(1, _SAMPLE_BLOCK // len(coeffs))
+    for lo in range(0, len(rows), step):
+        phases = (rows[lo : lo + step] @ gammas.T) % grid
+        values[lo : lo + step] = cosines[phases] @ coeffs
+    return values
+
+
+def _multiset_groups(rows: np.ndarray):
+    """The rows of a nonempty integer matrix grouped by coordinate multiset.
+
+    Returns an order of the rows that lists each group contiguously, the
+    start of each group in that order, and each group's sorted row; the
+    groups ascend lexicographically by sorted row.
+    """
+    ranked = np.sort(rows, axis=1)
+    order = np.lexsort(ranked.T[::-1])
+    ranked = ranked[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    return order, starts, ranked[starts]
+
+
+def _permutation_invariant(t: TrigPolynomial) -> bool:
+    """Whether every ordering of each exponent is in t's support, with exactly
+    the coefficient of the exponent: then t(y) depends only on the
+    coordinate multiset of y."""
+    order, starts, classes = _multiset_groups(_exponents(t))
+    sizes = np.diff(np.append(starts, len(order)))
+    if not np.array_equal(sizes, _ordering_counts(classes)):
+        return False
+    coeffs = np.array(list(t.terms.values()), dtype=object)[order]
+    return bool(np.all(coeffs == np.repeat(coeffs[starts], sizes)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +344,6 @@ def delsarte_bound(
     samples=None,
     grid: int | None = None,
     eps: float = DEFAULT_EPS,
-    budget: int | None = None,
 ) -> DelsarteReport:
     """Validate witness conditions and return h(0)/hhat(0).
 
@@ -299,10 +354,21 @@ def delsarte_bound(
     ``samples`` is a (k, dim) integer array of residue rows: row y is the
     point y / grid, which callers take from the ORT/UB points.  ``grid``
     defaults to ``t.grid``; a continuous ``t`` with samples must name it,
-    and a grid-mode ``t`` accepts no other.  All values come from one
-    ``_transform`` on ``grid``; for a continuous ``t`` that cube is refused
-    when over ``budget`` points (``DEFAULT_ENUM_BUDGET`` when None:
-    ``BudgetExceededError``).
+    and a grid-mode ``t`` accepts no other.
+
+    t is evaluated at the samples alone, by the direct cosine sum of
+    ``_sample_values``; no array grows with the grid.  When every ordering
+    of each exponent carries exactly the same coefficient (checked exactly,
+    ``_permutation_invariant``), t is constant on coordinate multisets, so
+    each distinct sorted sample row is evaluated once (the 27,670 ORT/UB
+    points of (6,24) are 325 multisets); any other t, such as the raw LP's
+    certificate, is evaluated at every sample.  With T terms and u the unit
+    roundoff, each table cosine is within (6 pi + 4) u of its exact value
+    (three roundings of an angle below 2 pi, and cos within 4 ulps), and
+    the T products and their sum add at most T u sum|c_gamma|, so a value
+    is within (T + 23) u sum|c_gamma| of exact: 3.3e-11 for the 9,141
+    terms of the (6,24) certificate, against its tolerance eps * h(0) =
+    3.3e-8.
     """
     if grid is None:
         grid = t.grid
@@ -314,12 +380,8 @@ def delsarte_bound(
     if (residues.ndim != 2 or residues.shape[1] != t.dim
             or not np.issubdtype(residues.dtype, np.integer)):
         raise ValueError(f"residue samples must be integers of shape (k, {t.dim})")
-    if len(residues):
-        if grid is None:
-            raise ValueError("continuous witness: residue samples need a grid")
-        if t.grid is None:
-            _check_budget(t.dim + 1, grid,
-                          DEFAULT_ENUM_BUDGET if budget is None else budget)
+    if len(residues) and grid is None:
+        raise ValueError("continuous witness: residue samples need a grid")
     messages = []
     if not t.even:
         messages.append("polynomial is not even")
@@ -340,7 +402,10 @@ def delsarte_bound(
 
     max_sample = 0.0
     if len(residues):
-        max_sample = float(_transform(t, grid)[tuple((residues % grid).T)].real.max())
+        residues = (residues % grid).astype(np.int64)
+        if _permutation_invariant(t):
+            residues = _multiset_groups(residues)[2]
+        max_sample = float(_sample_values(t, residues, grid).max())
         if max_sample > tol:
             messages.append(f"witness is positive on an allowed sample: {max_sample:.3g}")
     return DelsarteReport(not messages, bound, min_coeff, max_sample, tuple(messages))

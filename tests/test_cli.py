@@ -440,11 +440,35 @@ def test_listings_never_build_the_point_cube(tmp_path, capsys, monkeypatch):
     assert "error" not in capsys.readouterr().err
 
 
-def test_witness_sample_cube_honours_enum_budget(capsys, monkeypatch):
-    # the 6^3 sample cube is over the patched default but within the flag
-    monkeypatch.setattr(witnessmod, "DEFAULT_ENUM_BUDGET", 100)
-    assert cli.main(["witness", "--d", "4", "--sample-m", "6",
-                     "--enum-budget", "1000"]) == cli.EXIT_OK
+def test_witness_checks_never_build_the_sample_cube(tmp_path, capsys, monkeypatch):
+    # the certificates and the witness are evaluated at their ORT/UB samples
+    def refuse(*args, **kwargs):
+        raise AssertionError("the m^(d-1) transform cube was built")
+
+    monkeypatch.setattr(witnessmod, "_transform", refuse)
+    monkeypatch.setattr(lpmod, "_transform", refuse)
+    for argv in (["lp", "--d", "6", "--m", "16"],
+                 ["lp", "--d", "4", "--m", "6", "--no-orbit-symmetry"]):
+        path = tmp_path / "w.json"
+        assert cli.main([*argv, "--dual-witness", str(path)]) == cli.EXIT_OK
+        assert path.exists()
+        path.unlink()
+    assert cli.main(["witness", "--d", "8", "--sample-m", "10"]) == cli.EXIT_OK
+    assert "error" not in capsys.readouterr().err
+
+
+def test_witness_sample_cube_honours_enum_budget(capsys):
+    # the 6^3 sample grid is listed by ort_ub_rows, which refuses it over
+    # the flag's budget as an over-budget grid listing is refused
+    argv = ["witness", "--d", "4", "--sample-m", "6"]
+    assert cli.main([*argv, "--enum-budget", "100"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid of 216 points exceeds enumeration budget 100\n"
+    grid = ["grid", "--d", "4", "--m", "6", "--enum-budget", "100"]
+    assert cli.main(grid) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == err
+    assert cli.main([*argv, "--enum-budget", "1000"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["valid"]
 
 
@@ -550,9 +574,9 @@ def test_out_of_range_settings_are_usage_errors(capsys, argv, code):
 # witness without a grid flag, and the ORT/UB listing
 _PINNED_STDOUT = [
     (["witness", "--d", "4", "--sample-m", "6"],
-     "c5129744566f35c7edb215a472deb88106ce443aea43aae386d6821c96435e01"),
+     "1c2737051b8cc91969baf56bffcbeb3da35b6c9aad63a1d34ff20c2f1588b6bf"),
     (["witness", "--d", "6"],
-     "fa027b3b6bbcfdaa823a3a00d8f42ef87ba2b14de679fa74cc049d0f87aa8f59"),
+     "febaadbe7cd45276ce77930c8f40352e9776fde58205595b19ac5034a10fbab4"),
     (["grid", "--d", "5", "--m", "6", "--format", "json"],
      "97467b546a605de43395b78d63b7f85a450ed1af7548f493fe3d12aecca58a82"),
 ]

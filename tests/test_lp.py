@@ -44,6 +44,7 @@ from mublp.torus import (
 )
 from mublp.witness import (
     TrigPolynomial,
+    _permutation_invariant,
     _transform,
     delsarte_bound,
     ort_ub_predicate,
@@ -715,6 +716,69 @@ def test_residue_samples_reject_bad_shapes_and_predicates():
         delsarte_bound(cert, ort_ub_predicate(3))
     with pytest.raises(ValueError):           # the certificate lives on grid 3
         delsarte_bound(cert, prob.table.members, grid=6)
+
+
+def _orderings(gamma, m):
+    """Every ordering of gamma and of -gamma mod m: one even permutation orbit."""
+    neg = tuple((-g) % m for g in gamma)
+    return set(itertools.permutations(gamma)) | set(itertools.permutations(neg))
+
+
+@pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
+def test_multiset_reduction_sees_a_positive_ordering(d, m):
+    prob, cert = _certificate(d, m)
+    rows = prob.table.members
+    # a member that is not its own sorted row; only it is sampled
+    y = next(r for r in rows if list(r) != sorted(r))
+    # a whole even permutation orbit of characters whose cosines at y sum
+    # to s > 0; lifting each by (1 - h(y)) / s raises h to 1 on y's multiset
+    for gamma in itertools.combinations_with_replacement(range(m), d - 1):
+        orbit = _orderings(gamma, m)
+        s = float(np.cos(2 * np.pi * (np.array(sorted(orbit)) @ y % m) / m).sum())
+        if any(gamma) and s > 0.5:
+            break
+    lift = (1.0 - _values_at(cert, y[None, :])[0]) / s
+    terms = dict(cert.terms)
+    for g in orbit:
+        terms[g] = terms.get(g, 0.0) + lift
+    bad = TrigPolynomial.from_terms(d - 1, terms, grid=m)
+    assert bad.even and _permutation_invariant(bad)
+    got = delsarte_bound(bad, y[None, :])
+    assert not got.valid
+    assert abs(got.max_sample_value - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("d,m", [(4, 6), (5, 12)])
+def test_a_nudged_coefficient_is_evaluated_at_every_sample(d, m):
+    prob, cert = _certificate(d, m)
+    rows = prob.table.members
+    assert _permutation_invariant(cert)
+    gamma = next(g for g in sorted(cert.terms) if len(set(g)) > 1)
+    terms = dict(cert.terms)
+    terms[gamma] = np.nextafter(terms[gamma], np.inf)
+    nudged = TrigPolynomial.from_terms(d - 1, terms, grid=m)
+    assert not _permutation_invariant(nudged)
+    got = delsarte_bound(nudged, rows)
+    assert abs(got.max_sample_value - _values_at(nudged, rows).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("d,m,use_shift,symmetric", [
+    (d, m, use_shift, symmetric)
+    for d, m in [(3, 3), (3, 6), (4, 6), (5, 12)]
+    for use_shift, symmetric in [(False, True), (True, True), (False, False)]
+    if symmetric or d < 5                   # the raw LP on the small grids
+])
+def test_sample_maximum_matches_every_member(d, m, use_shift, symmetric):
+    prob = LpProblem(
+        build_orbits(d, m, use_shift_symmetry=use_shift, symmetric=symmetric)
+    )
+    cert = extract_dual_witness(solve_lp(prob), prob)
+    # the raw certificate's +-gamma pairs are no permutation orbits here
+    assert _permutation_invariant(cert) == symmetric
+    members = prob.table.members
+    got = delsarte_bound(cert, members)
+    assert got.valid
+    assert abs(got.max_sample_value - _values_at(cert, members).max()) <= 1e-12
 
 
 def _reference_witness(sol, prob):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs, prime_power_mubs
 from mublp.hadamard import family_to_points
 from mublp import witness as witnessmod
@@ -275,13 +274,19 @@ def test_delsarte_bound_rejects_unevaluable_samples(monkeypatch):
         with pytest.raises(ValueError):
             delsarte_bound(grid_mode, rows, grid=other)
 
-    # the 5^11 sample cube is over the default budget: refused, not allocated
+    # a sample on the 5^11 grid is evaluated where it lies: no cube is built
     def refuse(*args):
         raise AssertionError("the sample cube was built")
 
     monkeypatch.setattr(witnessmod, "_transform", refuse)
-    with pytest.raises(BudgetExceededError):
-        delsarte_bound(expand_h(12), np.ones((1, 11), dtype=np.int64), grid=5)
+    sample = np.ones((1, 11), dtype=np.int64)
+    report = delsarte_bound(expand_h(12), sample, grid=5)
+    point = TorusPoint.exact(5, sample[0])
+    # h = 113.97 there; eval_trig's float angles leave it 3.6e-12 off the
+    # exact value, the closed form eval_h 7e-14
+    want = eval_trig(expand_h(12), point)
+    assert abs(report.max_sample_value - want) <= 1e-12 * abs(want)
+    assert abs(report.max_sample_value - eval_h(12, point)) <= 1e-12
 
 
 def test_delsarte_bound_exact_for_all_d():
