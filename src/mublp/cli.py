@@ -4,12 +4,13 @@ Every pipeline is a subcommand with machine-readable output (JSON by
 default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
 failed, 2 usage or input error, an output path that cannot be written
-included.  Every budget and tolerance is a flag whose default is its
-``config.DEFAULT_*`` constant; nothing reads the environment.
-A tolerance, budget or round count that is not finite and > 0, or an
-``lp --eps-feas`` below ``lp.ROW_TOL``, is a usage error.  The grid
-listing runs on one thread per CPU the process may use (``taskset`` limits
-it), and no output depends on that count.
+included.  The LP's scan tolerance and row batch are ``lp`` constants
+(``lp.EPS_FEAS``, ``lp.ADD_PER_ROUND``); every other budget and tolerance
+is a flag whose default is its ``config.DEFAULT_*`` constant, and nothing
+reads the environment.  A tolerance, budget or round count that is not
+finite and > 0 is a usage error.  The grid listing runs on one thread per
+CPU the process may use (``taskset`` limits it), and no output depends on
+that count.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .config import (
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
     DEFAULT_EPS,
-    DEFAULT_EPS_FEAS,
-    DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
     DEFAULT_SIDON_BUDGET,
 )
@@ -207,9 +206,7 @@ def cmd_lp(args) -> int:
         problem = _build_problem(args)
         sol = lpmod.solve_lp(
             problem,
-            eps_feas=args.eps_feas,
             max_rounds=args.max_rounds,
-            add_per_round=args.add_per_round,
             checkpoint_dir=args.checkpoint_dir,
             progress=args.progress or args.m >= 12,
         )
@@ -250,19 +247,17 @@ def cmd_export_lp(args) -> int:
 # parser
 
 
-def _positive(convert, least=0):
-    """argparse type of a setting: ``convert(text)``, finite, > 0 and
-    >= ``least`` (``--eps-feas`` takes ``lp.ROW_TOL``)."""
-    bound = f">= {least:g}" if least else "> 0"
+def _positive(convert):
+    """argparse type of a setting: ``convert(text)``, finite and > 0."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not (0 < value < math.inf and value >= least):   # nan fails too
+        if not 0 < value < math.inf:        # nan fails too
             raise argparse.ArgumentTypeError(
-                f"must be a finite {convert.__name__} {bound}, not {text!r}")
+                f"must be a finite {convert.__name__} > 0, not {text!r}")
         return value
 
     return parse
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Torus-point classification, witness bounds, and "
         "pseudo-MUB linear programs for mutually unbiased bases.",
     )
-    # no prefix matching, so "lp --eps" cannot silently mean "lp --eps-feas"
+    # no prefix matching, so "lp --dual" cannot silently mean "--dual-witness"
     sub = parser.add_subparsers(
         dest="command", required=True,
         parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
@@ -342,16 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lp", help="solve the pseudo-MUB LP on the m-grid")
     common(p, grid=True)
     p.add_argument("--m", type=_positive(int), required=True, help="grid order")
-    p.add_argument("--eps-feas", type=_positive(float, lpmod.ROW_TOL),
-                   default=DEFAULT_EPS_FEAS,
-                   help="constraint feasibility tolerance, at least 1e-8 "
-                   "(default %(default)g)")
     p.add_argument("--max-rounds", type=_positive(int),
                    default=DEFAULT_LP_MAX_ROUNDS,
                    help="constraint-generation rounds (default %(default)d)")
-    p.add_argument("--add-per-round", type=_positive(int),
-                   default=DEFAULT_LP_ADD_PER_ROUND,
-                   help="characters added per round (default %(default)d)")
     symmetry(p)
     p.add_argument("--checkpoint-dir", default=None,
                    help="persist generated constraints between rounds")

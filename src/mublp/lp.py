@@ -73,8 +73,6 @@ from .config import (
     BudgetExceededError,
     DEFAULT_ENUM_BUDGET,
     DEFAULT_EPS,
-    DEFAULT_EPS_FEAS,
-    DEFAULT_LP_ADD_PER_ROUND,
     DEFAULT_LP_MAX_ROUNDS,
 )
 from .serialize import format_float, load_json, write_json
@@ -95,9 +93,13 @@ from .torus import (
 from .witness import TrigPolynomial, _transform, delsarte_bound
 
 _WEIGHT_BOX = 2.0
-# a generated row counts as met down to -ROW_TOL; a feasibility tolerance
-# below it could let the scan flag a row the restricted master already meets
+# a generated row counts as met down to -ROW_TOL
 ROW_TOL = 1e-8
+# the scan flags a character whose transform is below -EPS_FEAS; it must not
+# be below ROW_TOL, or the scan could flag a row the restricted master meets
+EPS_FEAS = 1e-7
+# the most characters one round adds to the restricted master
+ADD_PER_ROUND = 64
 # the most a dual witness's certified bound h(0) may differ from M
 GAP_TOLERANCE = 1e-4
 
@@ -416,9 +418,8 @@ def _transform_scan(problem: LpProblem, weights: np.ndarray) -> np.ndarray:
 
 def solve_lp(
     problem: LpProblem,
-    eps_feas: float = DEFAULT_EPS_FEAS,
     max_rounds: int = DEFAULT_LP_MAX_ROUNDS,
-    add_per_round: int = DEFAULT_LP_ADD_PER_ROUND,
+    add_per_round: int = ADD_PER_ROUND,
     checkpoint_dir: str | None = None,
     progress: bool = False,
 ) -> LpSolution:
@@ -426,13 +427,12 @@ def solve_lp(
 
     ``progress`` prints one line per round on stderr.  ``checkpoint_dir``
     persists the generated constraint set between rounds so long jobs can
-    resume.  ``eps_feas`` below ``ROW_TOL``, or ``max_rounds`` or
-    ``add_per_round`` below 1, is a ``ValueError``.  A run that uses up its
-    rounds, or the simplex iterations of one restricted master, raises
+    resume.  A round adds at most ``add_per_round`` of the characters whose
+    transform is below ``-EPS_FEAS``.  ``max_rounds`` or ``add_per_round``
+    below 1 is a ``ValueError``.  A run that uses up its rounds, or the
+    simplex iterations of one restricted master, raises
     ``BudgetExceededError``, so a returned solution is always an optimum.
     """
-    if not eps_feas >= ROW_TOL:
-        raise ValueError(f"eps_feas must be at least {ROW_TOL:g}, got {eps_feas:g}")
     if max_rounds < 1 or add_per_round < 1:
         raise ValueError("max_rounds and add_per_round must be at least 1")
     d, m = problem.d, problem.m
@@ -515,7 +515,7 @@ def solve_lp(
                 f"min_fhat={worst:.3e}",
                 file=sys.stderr, flush=True,
             )
-        violated = np.flatnonzero(scan < -eps_feas)
+        violated = np.flatnonzero(scan < -EPS_FEAS)
         if violated.size == 0:
             break
         # scan positions ascend with the characters' cube indices, so a stable

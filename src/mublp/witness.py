@@ -168,24 +168,27 @@ def eval_trig(t: TrigPolynomial, point: TorusPoint):
 
     Even polynomials return the real part (the imaginary part must be within
     ``DEFAULT_EPS`` times the coefficient mass, and is discarded); others
-    return a complex value.
+    return a complex value.  The real and imaginary parts of the terms are
+    each summed with ``math.fsum``, so each sum is correctly rounded.
     """
     if point.dim != t.dim:
         raise ValueError(f"point has dim {point.dim}, expected {t.dim}")
-    total = 0j
+    values = []
     if t.grid is not None:
         m = t.grid
         residues = _grid_residues(point, m)
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         for gamma, coeff in t.terms.items():
             phase = sum(g * r for g, r in zip(gamma, residues)) % m
-            total += complex(coeff) * roots[phase]
+            values.append(complex(coeff) * roots[phase])
     else:
         xs = point.as_floats()
         for gamma, coeff in t.terms.items():
-            total += complex(coeff) * np.exp(
+            values.append(complex(coeff) * np.exp(
                 2j * np.pi * sum(g * x for g, x in zip(gamma, xs))
-            )
+            ))
+    total = complex(math.fsum(v.real for v in values),
+                    math.fsum(v.imag for v in values))
     if t.even:
         scale = max(1.0, sum(abs(complex(c)) for c in t.terms.values()))
         if abs(total.imag) > DEFAULT_EPS * scale:

@@ -304,7 +304,7 @@ def test_outputs_deterministic_across_runs_and_workers(run_cli, tmp_path, cli_en
     # the pin leaves the child one CPU, and so a pool of one thread
     child = subprocess.run(
         [sys.executable, "-c", "from mublp.config import resolve_workers; "
-         "print(resolve_workers(None))"],
+         "print(resolve_workers())"],
         capture_output=True, text=True, env=cli_env, check=True,
         preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
     )
@@ -473,18 +473,11 @@ def test_witness_sample_cube_honours_enum_budget(capsys):
 
 
 # (case number, argv, exit code); fixed ids, so deleting a case renumbers
-# no other.  --eps-feas below lp.ROW_TOL and a round count below 1 stop at
-# the parser, like the settings of _RANGE_CASES
+# no other.  A round count below 1 stops at the parser, like the settings
+# of _RANGE_CASES
 _LP_OPTION_CASES = [
-    (0, ["--eps-feas", "0"], cli.EXIT_USAGE),
-    (1, ["--eps-feas", "-1"], cli.EXIT_USAGE),
-    (2, ["--eps-feas", "9e-9"], cli.EXIT_USAGE),
-    (3, ["--eps-feas", "nan"], cli.EXIT_USAGE),
     (5, ["--max-rounds", "0"], cli.EXIT_USAGE),
-    (7, ["--add-per-round", "0"], cli.EXIT_USAGE),
-    (8, ["--add-per-round", "-3"], cli.EXIT_USAGE),
-    # the smallest accepted values
-    (9, ["--eps-feas", str(lpmod.ROW_TOL), "--add-per-round", "1"], cli.EXIT_OK),
+    # the smallest accepted value
     (10, ["--max-rounds", "1"], cli.EXIT_CHECK_FAILED),
 ]
 
@@ -499,14 +492,8 @@ def test_out_of_range_lp_options_are_usage_errors(capsys, argv, code):
         _assert_parser_refuses(capsys, ["lp", "--d", "4", "--m", "6", *argv])
         return
     assert cli.main(["lp", "--d", "4", "--m", "6", *argv]) == code
-    out, err = capsys.readouterr()
-    assert "internal" not in err
-    if code == cli.EXIT_OK:
-        problem = lpmod.LpProblem(lpmod.build_orbits(4, 6))
-        assert json.loads(out)["M"] == pytest.approx(
-            lpmod.solve_lp(problem).M, abs=1e-9)
-    else:
-        assert err == "error: no convergence after 1 constraint-generation rounds\n"
+    assert capsys.readouterr().err == (
+        "error: no convergence after 1 constraint-generation rounds\n")
 
 
 def _assert_parser_refuses(capsys, argv):
@@ -602,7 +589,7 @@ def test_environment_never_changes_a_setting(capsys, monkeypatch):
         monkeypatch.setenv(name, value)
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == unset
-    assert resolve_workers(None) == len(os.sched_getaffinity(0))
+    assert resolve_workers() == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("command", ["lp", "export-lp"])
@@ -626,7 +613,9 @@ _REQUIRED_ARGS = {
     "pseudo-check": ["--d", "3", "candidate.json"],
     "export-lp": ["--d", "3", "--m", "3"],
 }
-_UNREAD_FLAGS = [("grid", "--eps"), ("lp", "--eps"), ("export-lp", "--eps")] + [
+# the LP's scan tolerance and row batch are lp constants, not flags
+_UNREAD_FLAGS = [("grid", "--eps"), ("lp", "--eps"), ("export-lp", "--eps"),
+                 ("lp", "--eps-feas"), ("lp", "--add-per-round")] + [
     (command, flag)
     for command in ("construct", "verify", "bound", "sidon", "pseudo-check")
     for flag in ("--enum-budget", "--workers")

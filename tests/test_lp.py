@@ -16,6 +16,7 @@ from mublp.config import BudgetExceededError
 from mublp.constructions import prime_mubs
 from mublp.hadamard import family_to_points
 from mublp.lp import (
+    EPS_FEAS,
     CertificateError,
     LpProblem,
     _transform_scan,
@@ -277,7 +278,7 @@ ORBIT_GRIDS = [
 def test_build_orbits_matches_dict_reference_on_every_small_grid(monkeypatch, threads):
     # blocks of 64 orderings split most orbit tables, so the threads share them
     monkeypatch.setattr(torusmod, "_CHUNK", 64)
-    monkeypatch.setattr(torusmod, "resolve_workers", lambda workers=None: threads)
+    monkeypatch.setattr(torusmod, "resolve_workers", lambda: threads)
     for d, m in ORBIT_GRIDS:
         for use_shift, symmetric in [(False, True), (True, True), (False, False)]:
             table = build_orbits(d, m, use_shift_symmetry=use_shift,
@@ -547,7 +548,7 @@ def test_solve_lp_matches_highs_on_random_grids(case):
     table = build_orbits(d, m, use_shift_symmetry=mode == "shift",
                          symmetric=mode != "raw")
     sol = solve_lp(LpProblem(table), add_per_round=add_per_round)
-    assert sol.final_scan_min >= -1e-7
+    assert sol.final_scan_min >= -EPS_FEAS
     assert abs(sol.M - brute_force_grid_lp(d, m)) < 1e-7
 
 

@@ -135,7 +135,7 @@ LISTING_GRIDS = [
 def test_ort_ub_rows_match_the_cube_oracle_on_every_small_grid(monkeypatch, threads):
     # blocks of 64 orderings split most listings, so the threads share them
     monkeypatch.setattr(torus, "_CHUNK", 64)
-    monkeypatch.setattr(torus, "resolve_workers", lambda workers=None: threads)
+    monkeypatch.setattr(torus, "resolve_workers", lambda: threads)
     for d, m in LISTING_GRIDS:
         rows, codes = ort_ub_rows(d, m)
         grid = exact_grid_codes(d, m)
@@ -517,7 +517,7 @@ def test_grid_csv_byte_table_matches_object_reference(monkeypatch, d, m, digits)
     if (d, m) == (8, 12):
         assert len(rows) > torus._CHUNK
         for threads in (1, 3):
-            monkeypatch.setattr(torus, "resolve_workers", lambda workers=None: threads)
+            monkeypatch.setattr(torus, "resolve_workers", lambda: threads)
             other = io.StringIO()
             grid_to_csv(d, m, other, budget=_budget(d, m))
             assert other.getvalue() == want, threads

@@ -282,10 +282,11 @@ def test_delsarte_bound_rejects_unevaluable_samples(monkeypatch):
     sample = np.ones((1, 11), dtype=np.int64)
     report = delsarte_bound(expand_h(12), sample, grid=5)
     point = TorusPoint.exact(5, sample[0])
-    # h = 113.97 there; eval_trig's float angles leave it 3.6e-12 off the
-    # exact value, the closed form eval_h 7e-14
+    # h = 113.965459292810563... there; eval_trig's fsum of the 4,555 terms
+    # and the closed form eval_h are each within 1e-14 of it (a plain
+    # left-to-right sum of the terms is 3.6e-12 off)
     want = eval_trig(expand_h(12), point)
-    assert abs(report.max_sample_value - want) <= 1e-12 * abs(want)
+    assert abs(report.max_sample_value - want) <= 1e-12
     assert abs(report.max_sample_value - eval_h(12, point)) <= 1e-12
 
 
