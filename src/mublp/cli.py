@@ -3,14 +3,15 @@
 Every pipeline is a subcommand with machine-readable output (JSON by
 default, floats at 17 significant digits, so identical inputs give
 byte-identical files).  Exit codes: 0 all checks passed, 1 checks ran and
-failed, 2 usage or input error, an output path that cannot be written
-included.  The LP's scan tolerance and row batch are ``lp`` constants
-(``lp.EPS_FEAS``, ``lp.ADD_PER_ROUND``); every other budget and tolerance
-is a flag whose default is its ``config.DEFAULT_*`` constant, and nothing
-reads the environment.  A tolerance, budget or round count that is not
-finite and > 0 is a usage error.  The grid listing runs on one thread per
-CPU the process may use (``taskset`` limits it), and no output depends on
-that count.
+failed, 2 usage or input error, an unwritable output path and an input file
+that breaks its schema included.  ``--eps`` belongs to the subcommands that
+judge a file (``verify``, ``bound``, ``pseudo-check``); the others use
+``config.DEFAULT_EPS``.  The LP's scan tolerance and row batch are ``lp``
+constants; every budget is a flag whose default is its ``config.DEFAULT_*``
+constant, and nothing reads the environment.  A tolerance, budget or round
+count that is not finite and > 0 is a usage error.  The grid listing runs on
+one thread per CPU the process may use (``taskset`` limits it), and no
+output depends on that count.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
-    """Bad file contents or inconsistent dimensions (exit code 2)."""
-
-
 def _emit(args, payload) -> None:
     if getattr(args, "out", None):
         write_json(args.out, payload)
@@ -52,11 +49,12 @@ def _emit(args, payload) -> None:
         sys.stdout.write(render_json(payload))
 
 
-def _load_family(path) -> had.MubFamily:
+def _read(path, what: str, parse):
+    """``parse`` of the JSON at ``path``; any failure is an input error."""
     try:
-        return had.family_from_json_obj(load_json(path))
+        return parse(load_json(path))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot read family file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +68,7 @@ def cmd_construct(args) -> int:
     elif args.kind == "prime-power":
         primes = cons._prime_divisors(d)
         if len(primes) != 1:
-            raise InputError(f"{d} is not a prime power")
+            raise ValueError(f"{d} is not a prime power")
         p, k = primes[0], 1
         while p ** k < d:
             k += 1
@@ -82,7 +80,7 @@ def cmd_construct(args) -> int:
             construction="fourier",
             parameters={"root_order": d},
         )
-    check = had.verify_family(family, args.eps)
+    check = had.verify_family(family)
     payload = had.family_to_json_obj(family)
     payload["verified"] = check.ok
     payload["max_violation"] = check.max_violation
@@ -91,7 +89,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    family = _load_family(args.family)
+    family = _read(args.family, "family", had.family_from_json_obj)
     check = had.verify_family(family, args.eps)
     points_ok = True
     point_error = ""
@@ -137,7 +135,7 @@ def cmd_witness(args) -> int:
     d = args.d
     poly = witness.expand_h(d)
     rows, _ = torus.ort_ub_rows(d, args.sample_m, budget=args.enum_budget)
-    report = witness.delsarte_bound(poly, rows, grid=args.sample_m, eps=args.eps)
+    report = witness.delsarte_bound(poly, rows, grid=args.sample_m)
     payload = witness.trig_to_json_obj(poly)
     payload["bound"] = str(report.bound)
     payload["constant_term"] = str(poly.constant_term())
@@ -149,7 +147,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    family = _load_family(args.family)
+    family = _read(args.family, "family", had.family_from_json_obj)
     d = family.d
     points = had.family_to_points(family, eps=args.eps)
     report = witness.check_point_set(points, witness.expand_h(d), eps=1e-6)
@@ -168,7 +166,7 @@ def cmd_sidon(args) -> int:
     verified = cons.sidon_verify(found)
     row_report = None
     if verified:
-        check = had.row_quotient_check(cons.sidon_row_system(found), args.eps)
+        check = had.row_quotient_check(cons.sidon_row_system(found))
         row_report = {"ok": check.ok, "max_violation": check.max_violation}
     payload = {
         "d": d,
@@ -220,10 +218,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_pseudo_check(args) -> int:
-    try:
-        poly = witness.trig_from_json_obj(load_json(args.candidate))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot read candidate file {args.candidate}: {exc}")
+    poly = _read(args.candidate, "candidate", witness.trig_from_json_obj)
     report = lpmod.pseudo_mub_check(poly, args.d, eps=args.eps)
     payload = {"d": args.d, **asdict(report), "ok": report.ok}
     _emit(args, payload)
@@ -232,7 +227,7 @@ def cmd_pseudo_check(args) -> int:
 
 def cmd_export_lp(args) -> int:
     if not args.out:
-        raise InputError("export-lp writes a file: give --out")
+        raise ValueError("export-lp writes a file: give --out")
     with open_output(args.out) as fh:     # before the orbits, as in cmd_lp
         problem = _build_problem(args)
         rows = lpmod.export_lp(problem, fh, budget=args.enum_budget)
@@ -301,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also quotient by the phase re-basing maps")
 
     p = sub.add_parser("construct", help="build and verify a MUB family")
-    common(p, eps=True)
+    common(p)
     p.add_argument("--kind", choices=["prime", "prime-power", "fourier"],
                    required=True)
     p.set_defaults(func=cmd_construct)
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("witness", help="exact witness expansion and its bound")
-    common(p, eps=True, grid=True)
+    common(p, grid=True)
     p.add_argument("--sample-m", type=_positive(int), default=4,
                    help="grid order for allowed-set samples (default 4)")
     p.set_defaults(func=cmd_witness)
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sidon", help="search/verify Sidon sets mod d^2")
-    common(p, eps=True)
+    common(p)
     p.add_argument("--budget", type=_positive(int), default=DEFAULT_SIDON_BUDGET,
                    help="search node budget (default %(default)d)")
     p.set_defaults(func=cmd_sidon)
@@ -367,11 +362,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # a check that ran and failed; FamilyPointError is a ValueError, so first
-    except (had.FamilyPointError, lpmod.CertificateError, BudgetExceededError) as exc:
+    except (had.FamilyPointError, lpmod.CertificateError, BudgetExceededError,
+            cons.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     # bad input, or an output path that cannot be written
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # an internal consistency check failed: the run's result cannot be trusted

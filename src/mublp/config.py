@@ -1,13 +1,16 @@
 """Shared tolerances and resource budgets.
 
-Each ``DEFAULT_*`` constant is the argparse default of the CLI flag that
-sets it (``--eps``, ``--enum-budget``, sidon's ``--budget``, ``--max-rounds``)
-and the keyword default of the library functions that take it.  The LP's
-scan tolerance and row batch are ``lp`` constants, not settings.  Nothing
-reads the environment, so a run depends on its arguments alone.  The one
-setting without a flag is the size of the grid listing's thread pool
-(``resolve_workers``): the CPUs the process may run on, which ``taskset``
-or a cpuset restricts.  No output depends on it.
+Each ``DEFAULT_*`` constant is the keyword default of the library functions
+that take it and the argparse default of the CLI flag that sets it
+(``--enum-budget``, sidon's ``--budget``, ``--max-rounds``, and ``--eps`` on
+the subcommands that judge a file: ``verify``, ``bound``, ``pseudo-check``).
+``construct``, ``witness`` and ``sidon`` check objects the program built and
+use ``DEFAULT_EPS`` as it is.  The LP's scan tolerance and row batch are
+``lp`` constants, not settings.  Nothing reads the environment, so a run
+depends on its arguments alone.  The one setting without a flag is the size
+of the grid listing's thread pool (``resolve_workers``): the CPUs the
+process may run on, which ``taskset`` or a cpuset restricts.  No output
+depends on it.
 """
 
 from __future__ import annotations

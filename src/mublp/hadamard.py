@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_EPS
+from .serialize import json_int, json_number
 from .torus import (
     _CLASS_BY_CODE,
     TorusPoint,
@@ -252,23 +253,8 @@ def row_quotient_check(matrix, eps: float = DEFAULT_EPS) -> RowQuotientCheck:
 
 
 # ---------------------------------------------------------------------------
-# matrix and family I/O (17 significant digits; bit-exact round trips)
-
-
-def matrix_to_json_obj(matrix) -> dict:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("only square matrices are serialised with this schema")
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
-    return {"d": int(m.shape[0]), "entries": entries}
-
-
-def matrix_from_json_obj(obj) -> np.ndarray:
-    d = int(obj["d"])
-    flat = [complex(re, im) for re, im in obj["entries"]]
-    if len(flat) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(flat)}")
-    return np.array(flat, dtype=complex).reshape(d, d)
+# family I/O: each matrix is its d*d entries in row-major order, each entry
+# a [real, imag] pair at 17 significant digits, so a round trip is bit-exact
 
 
 def family_to_json_obj(family: MubFamily) -> dict:
@@ -277,21 +263,27 @@ def family_to_json_obj(family: MubFamily) -> dict:
         "count": len(family.hadamards),
         "construction": family.construction,
         "parameters": dict(family.parameters),
-        "hadamards": [matrix_to_json_obj(h)["entries"] for h in family.hadamards],
+        "hadamards": [[[float(z.real), float(z.imag)] for z in h.ravel()]
+                      for h in family.hadamards],
     }
 
 
 def family_from_json_obj(obj) -> MubFamily:
-    d = int(obj["d"])
-    mats = [
-        matrix_from_json_obj({"d": d, "entries": entries})
-        for entries in obj["hadamards"]
-    ]
-    if len(mats) != int(obj["count"]):
+    """The family of a ``family_to_json_obj`` object.  ``d``, ``count`` and a
+    ``root_order`` parameter are JSON integers (``d``, ``root_order`` >= 1) and
+    every entry a pair of finite JSON numbers, or it raises ValueError/KeyError."""
+    if not isinstance(obj, dict):
+        raise ValueError("the file does not hold a JSON object")
+    d = json_int(obj["d"], "d")
+    parameters = obj.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ValueError("parameters must be a JSON object")
+    order = json_int(parameters.get("root_order", 1), "root_order")
+    if min(d, order) < 1:
+        raise ValueError(f"d = {d} and root_order = {order} must be positive")
+    mats = [np.array([complex(json_number(re, "entry"), json_number(im, "entry"))
+                      for re, im in entries]).reshape(d, d)
+            for entries in obj["hadamards"]]
+    if len(mats) != json_int(obj["count"], "count"):
         raise ValueError("family count does not match the stored matrices")
-    return MubFamily(
-        d=d,
-        hadamards=tuple(mats),
-        construction=obj.get("construction", ""),
-        parameters=dict(obj.get("parameters", {})),
-    )
+    return MubFamily(d, tuple(mats), obj.get("construction", ""), parameters)

@@ -7,7 +7,8 @@ files, determinism across thread counts), so floats are always rendered with
 rendered as "p/q" strings.
 
 ``open_output`` is the one writer of output files (JSON, CSV and LP text):
-a file is replaced only when it is complete.
+a file is replaced only when it is complete.  ``json_int`` and
+``json_number`` are the type rules every reader of an input file applies.
 """
 
 from __future__ import annotations
@@ -114,3 +115,17 @@ def write_json(path, value) -> None:
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def json_number(value, name: str):
+    """``value`` if it is a JSON integer or a finite JSON float (not a bool)."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise ValueError(f"{name} must be a finite number, not {value!r}")

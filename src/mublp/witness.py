@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_EPS
+from .serialize import json_int, json_number
 from .torus import PointClass, TorusPoint, _ordering_counts, classify
 
 
@@ -441,13 +442,6 @@ def trig_to_json_obj(t: TrigPolynomial) -> dict:
     return obj
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, not a float)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
 def _json_coeff(value):
     """A coefficient: a JSON integer, a finite JSON number or a "p/q" string."""
     if isinstance(value, str):
@@ -455,20 +449,17 @@ def _json_coeff(value):
         if not int(den or 1):
             raise ValueError(f"coefficient {value!r} has a zero denominator")
         return Fraction(int(num), int(den or 1))
-    if type(value) is int or (type(value) is float and math.isfinite(value)):
-        return value
-    raise ValueError(f"coefficient must be a finite number or a \"p/q\" "
-                     f"string, not {value!r}")
+    return json_number(value, "coefficient")
 
 
 def trig_from_json_obj(obj) -> TrigPolynomial:
     if not isinstance(obj, dict):
         raise ValueError("the file does not hold a JSON object")
-    grid = _json_int(obj["m"], "m") if obj.get("mode") == "grid" else None
+    grid = json_int(obj["m"], "m") if obj.get("mode") == "grid" else None
     if grid is not None and grid < 1:
         raise ValueError(f"grid order m = {grid} is not positive")
     terms = {}
     for item in obj["terms"]:
-        gamma = tuple(_json_int(g, "gamma entry") for g in item["gamma"])
+        gamma = tuple(json_int(g, "gamma entry") for g in item["gamma"])
         terms[gamma] = _json_coeff(item["coeff"])
-    return TrigPolynomial.from_terms(_json_int(obj["dim"], "dim"), terms, grid=grid)
+    return TrigPolynomial.from_terms(json_int(obj["dim"], "dim"), terms, grid=grid)

@@ -12,10 +12,13 @@ import time
 import pytest
 
 from mublp import cli
+from mublp import constructions as cons
+from mublp import hadamard as had
 from mublp import lp as lpmod
 from mublp import torus as torusmod
 from mublp import witness as witnessmod
 from mublp.config import resolve_workers
+from mublp.serialize import render_json
 from mublp.simplex import ITERATION_LIMIT, UNBOUNDED
 from mublp.torus import CODE_ORT, ort_ub_rows
 
@@ -62,6 +65,61 @@ def test_construct_prime_power_exits(tmp_path, capsys, d, code):
     else:
         payload = json.loads(open(out).read())
         assert payload["count"] == d and payload["verified"]
+
+
+def test_construct_fourier_and_verify(tmp_path, capsys):
+    out = str(tmp_path / "fourier6.json")
+    assert cli.main(["construct", "--d", "6", "--kind", "fourier", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert payload["count"] == 1 and payload["verified"]
+    assert payload["parameters"] == {"root_order": 6}
+    assert cli.main(["verify", out]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["bases"] == 2 and report["family_ok"] and report["points_ok"]
+
+
+def test_a_construction_that_fails_its_check_exits_1(capsys, monkeypatch):
+    failed = had.FamilyCheck(False, 6, 1.0, ("matrix 0 is not Hadamard",))
+    monkeypatch.setattr(cons, "verify_family", lambda family: failed)
+    assert cli.main(["construct", "--d", "5", "--kind", "prime"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: constructed family failed verification: matrix 0 is not Hadamard\n")
+
+
+def _family_4(**fields):
+    """The d = 4 prime-power family as its file holds it, with ``fields`` set
+    (``root_order`` in its parameters)."""
+    obj = json.loads(render_json(had.family_to_json_obj(cons.prime_power_mubs(2, 2))))
+    if "root_order" in fields:
+        obj["parameters"]["root_order"] = fields.pop("root_order")
+    return {**obj, **fields}
+
+
+_BAD_ENTRY = _family_4()
+_BAD_ENTRY["hadamards"][1][5] = [True, 0]
+
+
+@pytest.mark.parametrize("command", ["verify", "bound"])
+@pytest.mark.parametrize("family", [
+    _family_4(root_order=2.5),
+    _family_4(root_order="4"),
+    _family_4(root_order=0),
+    _family_4(root_order=True),
+    _family_4(d=4.5),
+    _family_4(count="4"),
+    _BAD_ENTRY,
+    [_family_4()],
+    _family_4(parameters=[["root_order", 4]]),
+], ids=["root_order_2.5", "root_order_str", "root_order_0", "root_order_true",
+        "d_4.5", "count_str", "entry_true", "list", "parameters_list"])
+def test_malformed_family_files_are_input_errors(tmp_path, capsys, command, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read family file {path}: ")
 
 
 def test_witness_d6(run_cli):
@@ -507,13 +565,13 @@ def _assert_parser_refuses(capsys, argv):
 
 # (case number, argv, exit code): a tolerance that is not finite and > 0,
 # and a budget, sample grid, dimension or grid order below 1 or not an
-# integer, stop at the parser
+# integer, stop at the parser (before the named file is opened)
 _RANGE_CASES = [
-    (0, ["construct", "--d", "5", "--kind", "prime", "--eps", "-1"], cli.EXIT_USAGE),
-    (1, ["construct", "--d", "5", "--kind", "prime", "--eps", "nan"], cli.EXIT_USAGE),
-    (2, ["construct", "--d", "5", "--kind", "prime", "--eps", "inf"], cli.EXIT_USAGE),
-    (3, ["construct", "--d", "5", "--kind", "prime", "--eps", "0"], cli.EXIT_USAGE),
-    (4, ["witness", "--d", "3", "--eps", "-1"], cli.EXIT_USAGE),
+    (0, ["verify", "family.json", "--eps", "-1"], cli.EXIT_USAGE),
+    (1, ["bound", "family.json", "--eps", "nan"], cli.EXIT_USAGE),
+    (2, ["pseudo-check", "--d", "3", "c.json", "--eps", "inf"], cli.EXIT_USAGE),
+    (3, ["verify", "family.json", "--eps", "0"], cli.EXIT_USAGE),
+    (4, ["pseudo-check", "--d", "3", "c.json", "--eps", "-1"], cli.EXIT_USAGE),
     (5, ["witness", "--d", "3", "--enum-budget", "-1"], cli.EXIT_USAGE),
     (6, ["grid", "--d", "3", "--m", "3", "--enum-budget", "0"], cli.EXIT_USAGE),
     (7, ["lp", "--d", "3", "--m", "3", "--enum-budget", "-5"], cli.EXIT_USAGE),
@@ -524,7 +582,6 @@ _RANGE_CASES = [
     (12, ["verify", "family.json", "--eps", "abc"], cli.EXIT_USAGE),
     # the smallest accepted values
     (13, ["witness", "--d", "3", "--sample-m", "1", "--enum-budget", "1"], cli.EXIT_OK),
-    (14, ["construct", "--d", "5", "--kind", "prime", "--eps", "1e-6"], cli.EXIT_OK),
     (15, ["sidon", "--d", "3", "--budget", "1"], cli.EXIT_CHECK_FAILED),
     # --d and --m, each last so the check reads its name
     (16, ["lp", "--m", "3", "--d", "0"], cli.EXIT_USAGE),
@@ -607,14 +664,17 @@ _REQUIRED_ARGS = {
     "construct": ["--d", "3", "--kind", "prime"],
     "verify": ["family.json"],
     "grid": ["--d", "3", "--m", "3"],
+    "witness": ["--d", "3"],
     "bound": ["family.json"],
     "sidon": ["--d", "3"],
     "lp": ["--d", "3", "--m", "3"],
     "pseudo-check": ["--d", "3", "candidate.json"],
     "export-lp": ["--d", "3", "--m", "3"],
 }
-# the LP's scan tolerance and row batch are lp constants, not flags
+# the LP's scan tolerance and row batch are lp constants, not flags, and
+# --eps belongs only to the subcommands that judge a file
 _UNREAD_FLAGS = [("grid", "--eps"), ("lp", "--eps"), ("export-lp", "--eps"),
+                 ("construct", "--eps"), ("witness", "--eps"), ("sidon", "--eps"),
                  ("lp", "--eps-feas"), ("lp", "--add-per-round")] + [
     (command, flag)
     for command in ("construct", "verify", "bound", "sidon", "pseudo-check")
