@@ -257,9 +257,15 @@ def test_family_json_roundtrip():
     assert back.parameters["root_order"] == 3
     for a, b in zip(fam.hadamards, back.hadamards):
         assert np.array_equal(a, b)
+
+
+def test_matrix_json_roundtrip_bit_exact():
+    import json
+
     # random phases need every one of the 17 significant digits
     rng = np.random.default_rng(17)
     mat = np.exp(2j * np.pi * rng.uniform(size=(5, 5)))
     text = render_json(family_to_json_obj(MubFamily(d=5, hadamards=(mat,))))
     (back,) = family_from_json_obj(json.loads(text)).hadamards
+    assert back.shape == mat.shape
     assert np.array_equal(back, mat)  # bit-exact
